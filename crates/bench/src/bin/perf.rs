@@ -108,7 +108,7 @@ fn main() {
             .and_then(|p| args.get(p + 1))
             .cloned()
     };
-    let out = value("--out").unwrap_or_else(|| "BENCH_pr10.json".into());
+    let out = value("--out").unwrap_or_else(|| "BENCH_pr12.json".into());
     let verify = !flag("--no-verify");
     let counters = !flag("--no-counters");
     let alloc = !flag("--no-alloc");

@@ -8,7 +8,7 @@
 //! pruning problem is NP-complete, so a greedy weighted heuristic deletes
 //! edges until no two vertices of a connected component interfere.
 
-use crate::interfere::{resource_interfere_reason, InterfereReason, InterferenceEnv, ResourceSet};
+use crate::interfere::{InterfereReason, InterferenceEnv, InterferenceState};
 use std::collections::HashMap;
 use tossa_ir::ids::{Block, Resource, Var};
 use tossa_ir::Function;
@@ -190,7 +190,7 @@ pub fn create_affinity_graph(
     f: &Function,
     block: Block,
     depth_filter: Option<(&dyn Fn(Var) -> u32, u32)>,
-    avoidable: &dyn Fn(Var) -> bool,
+    avoidable: &mut dyn FnMut(Var) -> bool,
 ) -> AffinityGraph {
     let mut g = AffinityGraph::default();
     for phi in f.phis(block) {
@@ -216,15 +216,15 @@ pub fn create_affinity_graph(
     g
 }
 
-/// Pairwise resource-interference oracle over graph vertices, memoized
-/// for the duration of one block's pruning (no merges happen meanwhile).
+/// Pairwise resource-interference oracle over graph vertices for one
+/// block's pruning. Verdicts are memoized only while the block is pruned
+/// (no merges happen meanwhile); the member lists and `Resource_killed`
+/// sets it reads live in the function-lifetime [`InterferenceState`],
+/// which computes each killed set once and maintains it across merges.
 pub struct VertexInterference<'a> {
     env: &'a InterferenceEnv<'a>,
-    members: &'a HashMap<Resource, Vec<Var>>,
+    state: &'a mut InterferenceState,
     cache: HashMap<(RVertex, RVertex), Option<InterfereReason>>,
-    /// Per-vertex resource set and its `killed_within`, computed once per
-    /// oracle lifetime (membership is frozen while a block is pruned).
-    per_vertex: HashMap<RVertex, (ResourceSet, Vec<Var>)>,
     /// Query/hit tallies, kept as plain integers on the hot path and
     /// flushed to the trace sink once, when the oracle is dropped.
     queries: u64,
@@ -239,43 +239,17 @@ impl Drop for VertexInterference<'_> {
 }
 
 impl<'a> VertexInterference<'a> {
-    /// Creates the oracle over the current membership map.
+    /// Creates a block's oracle over the coalescer's interference state.
     pub fn new(
         env: &'a InterferenceEnv<'a>,
-        members: &'a HashMap<Resource, Vec<Var>>,
+        state: &'a mut InterferenceState,
     ) -> VertexInterference<'a> {
         VertexInterference {
             env,
-            members,
+            state,
             cache: HashMap::new(),
-            per_vertex: HashMap::new(),
             queries: 0,
             hits: 0,
-        }
-    }
-
-    /// The variable set denoted by a vertex.
-    pub fn set_of(&self, v: RVertex) -> ResourceSet {
-        match v {
-            RVertex::Res(r) => ResourceSet {
-                members: self.members.get(&r).cloned().unwrap_or_default(),
-                is_phys: self.env.f.resources.as_phys(r).is_some(),
-            },
-            RVertex::Bare(v) => ResourceSet::singleton(v),
-        }
-    }
-
-    /// Number of definition-pinned members of a resource.
-    pub fn members_count(&self, r: Resource) -> usize {
-        self.members.get(&r).map_or(0, |m| m.len())
-    }
-
-    /// Memoizes the vertex's resource set and killed-within list.
-    fn ensure_vertex(&mut self, v: RVertex) {
-        if !self.per_vertex.contains_key(&v) {
-            let s = self.set_of(v);
-            let k = s.killed_within(self.env);
-            self.per_vertex.insert(v, (s, k));
         }
     }
 
@@ -297,11 +271,7 @@ impl<'a> VertexInterference<'a> {
             self.hits += 1;
             return v;
         }
-        self.ensure_vertex(a);
-        self.ensure_vertex(b);
-        let (sa, ka) = &self.per_vertex[&a];
-        let (sb, kb) = &self.per_vertex[&b];
-        let r = resource_interfere_reason(self.env, sa, sb, ka, kb);
+        let r = self.state.interfere_reason(self.env, a, b);
         self.cache.insert(key, r);
         r
     }
@@ -390,9 +360,7 @@ pub fn bipartite_pruning(
             for (i, &a) in comp.iter().enumerate() {
                 for &b in &comp[i + 1..] {
                     if let Some(reason) = oracle.interfere_reason(a, b) {
-                        let ia = verts.iter().position(|&v| v == a).expect("vertex");
-                        let ib = verts.iter().position(|&v| v == b).expect("vertex");
-                        offender = Some((ia, ib, reason));
+                        offender = Some((g.index[&a], g.index[&b], reason));
                         break 'find;
                     }
                 }
@@ -453,11 +421,24 @@ pub fn bipartite_pruning(
     deleted
 }
 
-/// A path (as edge keys) between vertex indices `from` and `to`, by BFS.
+/// An edge key: the ordered vertex index pair.
 type EdgeKey = (usize, usize);
 
+/// A path (as edge keys) between vertex indices `from` and `to`, by BFS
+/// visiting each vertex's neighbours in ascending index order.
 fn edge_path(g: &AffinityGraph, from: usize, to: usize) -> Option<Vec<EdgeKey>> {
     let n = g.verts.len();
+    // Adjacency built once per call; each list is sorted so neighbours
+    // are visited in ascending index order (the path found decides which
+    // edge is cut, and so the pruned-edge provenance).
+    let mut adj: Vec<Vec<(usize, EdgeKey)>> = vec![Vec::new(); n];
+    for &((a, b), _) in &g.edges {
+        adj[a].push((b, (a, b)));
+        adj[b].push((a, (a, b)));
+    }
+    for list in &mut adj {
+        list.sort_unstable();
+    }
     let mut prev: Vec<Option<(usize, EdgeKey)>> = vec![None; n];
     let mut visited = vec![false; n];
     let mut queue = std::collections::VecDeque::new();
@@ -474,19 +455,12 @@ fn edge_path(g: &AffinityGraph, from: usize, to: usize) -> Option<Vec<EdgeKey>> 
             }
             return Some(path);
         }
-        let mut nexts: Vec<(usize, EdgeKey)> = Vec::new();
-        for &((a, b), _) in &g.edges {
-            if a == x && !visited[b] {
-                nexts.push((b, (a, b)));
-            } else if b == x && !visited[a] {
-                nexts.push((a, (a, b)));
+        for &(y, e) in &adj[x] {
+            if !visited[y] {
+                visited[y] = true;
+                prev[y] = Some((x, e));
+                queue.push_back(y);
             }
-        }
-        nexts.sort();
-        for (y, e) in nexts {
-            visited[y] = true;
-            prev[y] = Some((x, e));
-            queue.push_back(y);
         }
     }
     None
@@ -600,7 +574,7 @@ m:
     #[test]
     fn graph_has_edge_per_argument() {
         let s = setup(DIAMOND);
-        let g = create_affinity_graph(&s.f, s.merge_block(), None, &|_| true);
+        let g = create_affinity_graph(&s.f, s.merge_block(), None, &mut |_| true);
         assert_eq!(g.vertices().len(), 3);
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.total_multiplicity(), 2);
@@ -610,9 +584,9 @@ m:
     fn no_interference_nothing_pruned() {
         let s = setup(DIAMOND);
         let env = s.env();
-        let members = crate::pinning::resource_members(&s.f);
-        let mut oracle = VertexInterference::new(&env, &members);
-        let mut g = create_affinity_graph(&s.f, s.merge_block(), None, &|_| true);
+        let mut state = InterferenceState::new(&s.f);
+        let mut oracle = VertexInterference::new(&env, &mut state);
+        let mut g = create_affinity_graph(&s.f, s.merge_block(), None, &mut |_| true);
         assert!(initial_pruning(&mut g, &mut oracle).is_empty());
         assert!(bipartite_pruning(&mut g, &mut oracle).is_empty());
         let comps = components(&g);
@@ -644,9 +618,9 @@ m:
 }",
         );
         let env = s.env();
-        let members = crate::pinning::resource_members(&s.f);
-        let mut oracle = VertexInterference::new(&env, &members);
-        let mut g = create_affinity_graph(&s.f, s.merge_block(), None, &|_| true);
+        let mut state = InterferenceState::new(&s.f);
+        let mut oracle = VertexInterference::new(&env, &mut state);
+        let mut g = create_affinity_graph(&s.f, s.merge_block(), None, &mut |_| true);
         assert_eq!(g.num_edges(), 2);
         let dropped = initial_pruning(&mut g, &mut oracle);
         assert_eq!(dropped.len(), 1);
@@ -690,12 +664,12 @@ exit:
 }",
         );
         let env = s.env();
-        let members = crate::pinning::resource_members(&s.f);
-        let mut oracle = VertexInterference::new(&env, &members);
+        let mut state = InterferenceState::new(&s.f);
+        let mut oracle = VertexInterference::new(&env, &mut state);
         // Build the union graph by hand over both confluence blocks.
         let mut g = AffinityGraph::default();
         for b in s.f.blocks().collect::<Vec<_>>() {
-            let part = create_affinity_graph(&s.f, b, None, &|_| true);
+            let part = create_affinity_graph(&s.f, b, None, &mut |_| true);
             for (va, vb, m) in part.edges() {
                 g.add_edge(va, vb, m);
             }
@@ -740,9 +714,9 @@ m:
 }",
         );
         let env = s.env();
-        let members = crate::pinning::resource_members(&s.f);
-        let mut oracle = VertexInterference::new(&env, &members);
-        let mut g = create_affinity_graph(&s.f, s.merge_block(), None, &|_| true);
+        let mut state = InterferenceState::new(&s.f);
+        let mut oracle = VertexInterference::new(&env, &mut state);
+        let mut g = create_affinity_graph(&s.f, s.merge_block(), None, &mut |_| true);
         assert_eq!(g.num_edges(), 4);
         // bigx/bigy strongly interfere (same block φs) but that is a
         // vertex-pair, not an edge; x,y interfere (overlap in p1), etc.

@@ -8,11 +8,10 @@
 //! no φ copy for any argument sharing its φ's resource.
 
 use crate::affinity::{
-    bipartite_pruning, components, create_affinity_graph, initial_pruning, PrunedEdge, RVertex,
-    VertexInterference,
+    bipartite_pruning, components, create_affinity_graph, initial_pruning, resource_def,
+    PrunedEdge, RVertex, VertexInterference,
 };
-use crate::interfere::{InterferenceEnv, InterferenceMode};
-use crate::pinning::resource_members;
+use crate::interfere::{EnvHandles, InterferenceEnv, InterferenceMode, InterferenceState};
 use std::collections::HashMap;
 use tossa_analysis::{AnalysisCache, DefMap};
 use tossa_ir::ids::{Block, Resource, Var};
@@ -116,30 +115,42 @@ pub fn program_pinning_cached(
     opts: &CoalesceOptions,
     cache: &mut AnalysisCache,
 ) -> CoalesceStats {
-    tossa_trace::span("coalesce", || program_pinning_inner(f, opts, cache))
+    program_pinning_observed(f, opts, cache, &mut |_, _| {})
+}
+
+/// [`program_pinning_cached`] calling `after_merge` with the interference
+/// state after every component merge — the hook the invariant tests use
+/// to check the incrementally maintained killed sets against
+/// [`ResourceSet::killed_within`](crate::interfere::ResourceSet::killed_within).
+pub fn program_pinning_observed(
+    f: &mut Function,
+    opts: &CoalesceOptions,
+    cache: &mut AnalysisCache,
+    after_merge: &mut dyn FnMut(&InterferenceEnv<'_>, &InterferenceState),
+) -> CoalesceStats {
+    tossa_trace::span("coalesce", || {
+        program_pinning_inner(f, opts, cache, after_merge)
+    })
 }
 
 fn program_pinning_inner(
     f: &mut Function,
     opts: &CoalesceOptions,
     cache: &mut AnalysisCache,
+    after_merge: &mut dyn FnMut(&InterferenceEnv<'_>, &InterferenceState),
 ) -> CoalesceStats {
-    let dt = cache.domtree(f);
-    let live = cache.liveness(f);
-    let defs = cache.defs(f);
-    let lad = cache.live_at_defs(f);
+    let handles = EnvHandles::from_cache(f, cache);
     let loops = cache.loops(f);
     let order: Vec<Block> = loops
-        .blocks_inner_to_outer(&dt)
+        .blocks_inner_to_outer(&handles.dt)
         .into_iter()
         .filter(|&b| f.phis(b).next().is_some())
         .collect();
 
-    let mut members = resource_members(f);
-    tossa_trace::count(
-        tossa_trace::Counter::PinnedVars,
-        members.values().map(|m| m.len() as u64).sum(),
-    );
+    // Members and killed sets live for the whole function: killed sets
+    // are computed on first touch and updated by union on merge.
+    let mut state = InterferenceState::new(f);
+    tossa_trace::count(tossa_trace::Counter::PinnedVars, state.num_pinned() as u64);
     let mut stats = CoalesceStats::default();
     // Merged (virtual) resources become aliases of the reference; operand
     // pins are rewritten once at the end (§3.5: "the update of pinning
@@ -163,44 +174,25 @@ fn program_pinning_inner(
             // Snapshot the pinning state for this block's optimization;
             // the borrow of `f` ends before components are merged.
             let comps = {
-                let env = InterferenceEnv {
-                    f,
-                    dt: &dt,
-                    live: &live,
-                    defs: &defs,
-                    lad: &lad,
-                    mode: opts.mode,
-                };
-                let mut oracle = VertexInterference::new(&env, &members);
-                let depth_fn = |v: Var| depth_of_def(&defs, v);
+                let env = handles.env(f, opts.mode);
+                let depth_fn = |v: Var| depth_of_def(&handles.defs, v);
                 let filter: Option<(&dyn Fn(Var) -> u32, u32)> =
                     depth.map(|d| (&depth_fn as &dyn Fn(Var) -> u32, d));
                 // An argument already killed within its own resource keeps
                 // its copy no matter what (it is restored from a repair
-                // variable), so it offers no gain. The killed set of a
-                // resource is memoized for the block (several φ arguments
-                // often share one resource).
-                let killed_memo: std::cell::RefCell<HashMap<Resource, Vec<Var>>> =
-                    std::cell::RefCell::new(HashMap::new());
-                let avoidable = |v: Var| {
+                // variable), so it offers no gain.
+                let mut avoidable = |v: Var| {
                     if !opts.refine_gain {
                         return true;
                     }
-                    match f.var(v).pin {
-                        Some(r) => !killed_memo
-                            .borrow_mut()
-                            .entry(r)
-                            .or_insert_with(|| {
-                                crate::pinning::resource_set(f, &members, r).killed_within(&env)
-                            })
-                            .contains(&v),
-                        None => !env.variable_kills(v, v),
-                    }
+                    state.ensure(&env, resource_def(f, v));
+                    !state.is_killed(v)
                 };
                 let mut g = tossa_trace::span("affinity_build", || {
-                    create_affinity_graph(f, b, filter, &avoidable)
+                    create_affinity_graph(f, b, filter, &mut avoidable)
                 });
                 stats.initial_edges += g.num_edges();
+                let mut oracle = VertexInterference::new(&env, &mut state);
                 let pruned_i = initial_pruning(&mut g, &mut oracle);
                 let pruned_b = bipartite_pruning(&mut g, &mut oracle);
                 stats.pruned_initial += pruned_i.len();
@@ -243,7 +235,8 @@ fn program_pinning_inner(
             }
             for comp in comps {
                 stats.merges += 1;
-                stats.pinned_vars += merge_component(f, &mut members, &mut alias, &comp);
+                stats.pinned_vars += merge_component(f, &mut state, &mut alias, &comp);
+                after_merge(&handles.env(f, opts.mode), &state);
             }
             // Every surviving edge's endpoints now share a reference
             // resource: record the coalesced verdicts.
@@ -306,7 +299,7 @@ fn program_pinning_inner(
 /// resource, else a fresh one. Returns the number of newly pinned defs.
 fn merge_component(
     f: &mut Function,
-    members: &mut HashMap<Resource, Vec<Var>>,
+    state: &mut InterferenceState,
     alias: &mut HashMap<Resource, Resource>,
     comp: &[RVertex],
 ) -> usize {
@@ -330,40 +323,25 @@ fn merge_component(
         f.resources.new_virt(name)
     });
 
-    let mut pinned = 0;
-    let mut new_members: Vec<Var> = members.get(&reference).cloned().unwrap_or_default();
+    let added = state.merge(reference, comp);
+    for &x in &state.members(reference)[added] {
+        f.var_mut(x).pin = Some(reference);
+        provenance::record(|| provenance::Kind::Pin {
+            var: var_str(f, x),
+            resource: res_str(f, reference),
+            cause: "coalesce".into(),
+        });
+    }
     for &v in comp {
-        match v {
-            RVertex::Res(r) if r != reference => {
-                // Absorb the whole resource.
-                if let Some(vars) = members.remove(&r) {
-                    for x in vars {
-                        f.var_mut(x).pin = Some(reference);
-                        provenance::record(|| provenance::Kind::Pin {
-                            var: var_str(f, x),
-                            resource: res_str(f, reference),
-                            cause: "coalesce".into(),
-                        });
-                        new_members.push(x);
-                    }
-                }
+        if let RVertex::Res(r) = v {
+            if r != reference {
                 alias.insert(r, reference);
             }
-            RVertex::Bare(x) => {
-                f.var_mut(x).pin = Some(reference);
-                provenance::record(|| provenance::Kind::Pin {
-                    var: var_str(f, x),
-                    resource: res_str(f, reference),
-                    cause: "coalesce".into(),
-                });
-                new_members.push(x);
-                pinned += 1;
-            }
-            _ => {}
         }
     }
-    members.insert(reference, new_members);
-    pinned
+    comp.iter()
+        .filter(|v| matches!(v, RVertex::Bare(_)))
+        .count()
 }
 
 /// The paper's *gain* for the φs of the function: the number of φ

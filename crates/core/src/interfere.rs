@@ -3,9 +3,13 @@
 //! optimistic/pessimistic variants of Algorithm 4 (Table 5's `opt` and
 //! `pess` rows).
 
+use crate::affinity::RVertex;
+use crate::pinning::resource_members;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
-use tossa_analysis::{AnalysisCache, DefMap, DomTree, LiveAtDefs, Liveness};
-use tossa_ir::ids::Var;
+use tossa_analysis::{AnalysisCache, BitSet, DefMap, DomTree, LiveAtDefs, Liveness};
+use tossa_ir::ids::{Resource, Var};
 use tossa_ir::Function;
 
 /// How Class 1 kills (overlapping live ranges under dominance) are
@@ -208,10 +212,10 @@ impl<'a> InterferenceEnv<'a> {
 /// the env's plain references stay valid while the cache serves other
 /// passes.
 pub struct EnvHandles {
-    dt: Rc<DomTree>,
-    live: Rc<Liveness>,
-    defs: Rc<DefMap>,
-    lad: Rc<LiveAtDefs>,
+    pub(crate) dt: Rc<DomTree>,
+    pub(crate) live: Rc<Liveness>,
+    pub(crate) defs: Rc<DefMap>,
+    pub(crate) lad: Rc<LiveAtDefs>,
 }
 
 impl EnvHandles {
@@ -250,16 +254,19 @@ pub struct ResourceSet {
 }
 
 impl ResourceSet {
-    /// A singleton set for an unpinned variable.
-    pub fn singleton(v: Var) -> ResourceSet {
-        ResourceSet {
-            members: vec![v],
-            is_phys: false,
+    /// A borrowed view of the set.
+    pub fn view(&self) -> ResourceRef<'_> {
+        ResourceRef {
+            members: &self.members,
+            is_phys: self.is_phys,
         }
     }
 
     /// The paper's `Resource_killed`: members already killed by another
-    /// member (including self-kills).
+    /// member (including self-kills), recomputed from scratch in
+    /// O(members²) `Variable_kills` calls. The coalescer maintains these
+    /// sets incrementally ([`InterferenceState`]); this is the reference
+    /// definition.
     pub fn killed_within(&self, env: &InterferenceEnv<'_>) -> Vec<Var> {
         self.members
             .iter()
@@ -269,38 +276,40 @@ impl ResourceSet {
     }
 }
 
+/// A borrowed resource: its member slice and whether it is physical.
+#[derive(Clone, Copy, Debug)]
+pub struct ResourceRef<'a> {
+    /// Member variables (definition-pinned).
+    pub members: &'a [Var],
+    /// Whether the set denotes a physical register.
+    pub is_phys: bool,
+}
+
 /// The paper's `Resource_interfere(A, B)`: merging the two variable sets
 /// would create a *new* simple interference (a kill of a not-yet-killed
 /// variable) or any strong interference. Two distinct physical resources
 /// always interfere.
 pub fn resource_interfere(env: &InterferenceEnv<'_>, a: &ResourceSet, b: &ResourceSet) -> bool {
-    let killed_a = a.killed_within(env);
-    let killed_b = b.killed_within(env);
-    resource_interfere_with(env, a, b, &killed_a, &killed_b)
+    let mut killed = BitSet::new(env.f.num_vars());
+    for x in a.killed_within(env).into_iter().chain(b.killed_within(env)) {
+        killed.insert(x);
+    }
+    resource_interfere_reason(env, a.view(), b.view(), &killed).is_some()
 }
 
-/// [`resource_interfere`] with the two `killed_within` sets supplied by
-/// the caller — lets an oracle that queries many pairs compute each
-/// vertex's killed set once instead of once per pair.
-pub fn resource_interfere_with(
-    env: &InterferenceEnv<'_>,
-    a: &ResourceSet,
-    b: &ResourceSet,
-    killed_a: &[Var],
-    killed_b: &[Var],
-) -> bool {
-    resource_interfere_reason(env, a, b, killed_a, killed_b).is_some()
-}
-
-/// [`resource_interfere_with`], reporting the first rule that fired and
-/// its witness pair — the provenance the coalescer attaches to every
-/// pruned affinity edge.
+/// [`resource_interfere`] over borrowed sets, reporting the first rule
+/// that fired and its witness pair — the provenance the coalescer
+/// attaches to every pruned affinity edge.
+///
+/// `killed` holds `Resource_killed` of both sides at once: bit `x` is
+/// set when member `x` is already killed within its own set. The two
+/// member sets are disjoint (a definition is pinned to one resource), so
+/// one bit per variable suffices.
 pub fn resource_interfere_reason(
     env: &InterferenceEnv<'_>,
-    a: &ResourceSet,
-    b: &ResourceSet,
-    killed_a: &[Var],
-    killed_b: &[Var],
+    a: ResourceRef<'_>,
+    b: ResourceRef<'_>,
+    killed: &BitSet<Var>,
 ) -> Option<InterfereReason> {
     if a.is_phys && b.is_phys {
         // Distinct physical registers (callers never ask about A == A).
@@ -309,9 +318,10 @@ pub fn resource_interfere_reason(
             witness: None,
         });
     }
-    for &x in &a.members {
-        for &y in &b.members {
-            if !killed_a.contains(&x) {
+    for &x in a.members {
+        let x_killed = killed.contains(x);
+        for &y in b.members {
+            if !x_killed {
                 if let Some(class) = env.variable_kills_class(y, x) {
                     return Some(InterfereReason {
                         class,
@@ -319,7 +329,7 @@ pub fn resource_interfere_reason(
                     });
                 }
             }
-            if !killed_b.contains(&y) {
+            if !killed.contains(y) {
                 if let Some(class) = env.variable_kills_class(x, y) {
                     return Some(InterfereReason {
                         class,
@@ -336,6 +346,195 @@ pub fn resource_interfere_reason(
         }
     }
     None
+}
+
+/// Definition-pinned members of one resource, and whether their
+/// `killed` bits in [`InterferenceState`] are known.
+#[derive(Debug)]
+struct ResourceEntry {
+    members: Vec<Var>,
+    killed_known: bool,
+}
+
+/// The coalescer's function-lifetime interference state: every
+/// resource's definition-pinned members plus its `Resource_killed` set,
+/// kept across confluence points (DESIGN.md §2.3).
+///
+/// A killed set is computed once, lazily, when a block's affinity graph
+/// first touches the resource (or the unpinned variable), and from then
+/// on is only updated when components merge, by union:
+/// `killed(ref) = ∪ killed(absorbed)` — a bare vertex contributes
+/// itself when it self-kills. This is exact because pinning never
+/// changes liveness, dominance or definition sites, and a component
+/// merges only when no pair of its vertices passes `Resource_interfere`,
+/// so every kill between two merged vertices hits a member that its own
+/// vertex had already killed.
+///
+/// A variable belongs to at most one resource (its definition pin), so
+/// all killed sets share one bit per variable; an unpinned variable's
+/// bit is its self-kill.
+pub struct InterferenceState {
+    resources: HashMap<Resource, ResourceEntry>,
+    /// Bit `x`: `x` is killed within its resource (unpinned: self-kill).
+    killed: BitSet<Var>,
+    /// Unpinned variables whose self-kill bit is known.
+    bare_known: BitSet<Var>,
+}
+
+impl InterferenceState {
+    /// The membership of `f`'s current pinning; no killed set is
+    /// computed yet.
+    pub fn new(f: &Function) -> InterferenceState {
+        let entry = |members| ResourceEntry {
+            members,
+            killed_known: false,
+        };
+        InterferenceState {
+            resources: resource_members(f)
+                .into_iter()
+                .map(|(r, members)| (r, entry(members)))
+                .collect(),
+            killed: BitSet::new(f.num_vars()),
+            bare_known: BitSet::new(f.num_vars()),
+        }
+    }
+
+    /// The resources with definition-pinned members, in arbitrary order.
+    pub fn resources(&self) -> impl Iterator<Item = Resource> + '_ {
+        self.resources.keys().copied()
+    }
+
+    /// The definition-pinned members of `r`, in pinning order.
+    pub fn members(&self, r: Resource) -> &[Var] {
+        self.resources.get(&r).map_or(&[], |e| &e.members)
+    }
+
+    /// Total number of definition-pinned variables.
+    pub fn num_pinned(&self) -> usize {
+        self.resources.values().map(|e| e.members.len()).sum()
+    }
+
+    /// The maintained `Resource_killed(r)` in member order, or `None`
+    /// while no block has touched `r` yet.
+    pub fn killed(&self, r: Resource) -> Option<Vec<Var>> {
+        let e = self.resources.get(&r)?;
+        e.killed_known.then(|| {
+            e.members
+                .iter()
+                .copied()
+                .filter(|&x| self.killed.contains(x))
+                .collect()
+        })
+    }
+
+    /// Whether `x` is killed within its own resource (for an unpinned
+    /// variable: whether it kills itself). Only meaningful once `x`'s
+    /// vertex is [ensured](Self::ensure).
+    pub fn is_killed(&self, x: Var) -> bool {
+        self.killed.contains(x)
+    }
+
+    /// Makes the killed bits of vertex `v`'s members known.
+    pub fn ensure(&mut self, env: &InterferenceEnv<'_>, v: RVertex) {
+        match v {
+            RVertex::Res(r) => self.ensure_res(env, r),
+            RVertex::Bare(x) => self.ensure_bare(env, x),
+        }
+    }
+
+    /// `Resource_interfere` between two vertices, with its reason: makes
+    /// both killed sets known, then scans the borrowed member slices.
+    pub fn interfere_reason(
+        &mut self,
+        env: &InterferenceEnv<'_>,
+        a: RVertex,
+        b: RVertex,
+    ) -> Option<InterfereReason> {
+        self.ensure(env, a);
+        self.ensure(env, b);
+        resource_interfere_reason(
+            env,
+            self.view(env.f, &a),
+            self.view(env.f, &b),
+            &self.killed,
+        )
+    }
+
+    /// Merges a component onto `reference` (`reference` itself may be
+    /// one of its vertices): the absorbed resources' members and the bare
+    /// variables are appended to the reference's member list, in
+    /// component order, and keep their killed bits — the union rule.
+    /// Returns the index range of the appended members.
+    pub(crate) fn merge(&mut self, reference: Resource, comp: &[RVertex]) -> Range<usize> {
+        // The reference's entry is moved, not cloned; a resource without
+        // def-pinned members has a trivially known (empty) killed set.
+        let mut merged = self.resources.remove(&reference).unwrap_or(ResourceEntry {
+            members: Vec::new(),
+            killed_known: true,
+        });
+        let start = merged.members.len();
+        for &v in comp {
+            match v {
+                RVertex::Res(r) if r != reference => {
+                    if let Some(entry) = self.resources.remove(&r) {
+                        merged.killed_known &= entry.killed_known;
+                        merged.members.extend(entry.members);
+                    }
+                }
+                RVertex::Bare(x) => {
+                    merged.killed_known &= self.bare_known.contains(x);
+                    merged.members.push(x);
+                }
+                RVertex::Res(_) => {}
+            }
+        }
+        debug_assert!(
+            merged.killed_known,
+            "every vertex of a merged component was queried while pruning"
+        );
+        let added = start..merged.members.len();
+        self.resources.insert(reference, merged);
+        added
+    }
+
+    /// The variable set denoted by a vertex, borrowed.
+    fn view<'s>(&'s self, f: &Function, v: &'s RVertex) -> ResourceRef<'s> {
+        match v {
+            RVertex::Res(r) => ResourceRef {
+                members: self.members(*r),
+                is_phys: f.resources.as_phys(*r).is_some(),
+            },
+            RVertex::Bare(x) => ResourceRef {
+                members: std::slice::from_ref(x),
+                is_phys: false,
+            },
+        }
+    }
+
+    /// Computes `Resource_killed(r)` from scratch unless it is known.
+    fn ensure_res(&mut self, env: &InterferenceEnv<'_>, r: Resource) {
+        let Some(e) = self.resources.get_mut(&r) else {
+            return;
+        };
+        if e.killed_known {
+            return;
+        }
+        for &ai in &e.members {
+            if e.members.iter().any(|&aj| env.variable_kills(aj, ai)) {
+                self.killed.insert(ai);
+            } else {
+                self.killed.remove(ai);
+            }
+        }
+        e.killed_known = true;
+    }
+
+    /// Computes the self-kill of unpinned `x` unless it is known.
+    fn ensure_bare(&mut self, env: &InterferenceEnv<'_>, x: Var) {
+        if self.bare_known.insert(x) && env.variable_kills(x, x) {
+            self.killed.insert(x);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -74,7 +74,10 @@ pub mod pipeline;
 pub mod reconstruct;
 
 pub use checked::{check_form, IrForm, PassGuard};
-pub use coalesce::{program_pinning, program_pinning_cached, CoalesceOptions, CoalesceStats};
+pub use coalesce::{
+    program_pinning, program_pinning_cached, program_pinning_observed, CoalesceOptions,
+    CoalesceStats,
+};
 pub use error::{CoalesceError, ReconstructError, TossaError, VerifyError};
 pub use interfere::InterferenceMode;
 pub use pipeline::Experiment;

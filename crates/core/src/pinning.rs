@@ -1,7 +1,7 @@
 //! Pinning bookkeeping and the correct-pinning checker (paper §2.2,
 //! Fig. 4).
 
-use crate::interfere::{InterferenceEnv, ResourceSet};
+use crate::interfere::InterferenceEnv;
 use std::collections::HashMap;
 use std::fmt;
 use tossa_ir::ids::{Resource, Var};
@@ -33,18 +33,6 @@ pub fn resource_members(f: &Function) -> HashMap<Resource, Vec<Var>> {
         }
     }
     members
-}
-
-/// Builds the [`ResourceSet`] view of resource `r`.
-pub fn resource_set(
-    f: &Function,
-    members: &HashMap<Resource, Vec<Var>>,
-    r: Resource,
-) -> ResourceSet {
-    ResourceSet {
-        members: members.get(&r).cloned().unwrap_or_default(),
-        is_phys: f.resources.as_phys(r).is_some(),
-    }
 }
 
 /// Checks the pinning of `f` against Fig. 4:
@@ -295,8 +283,5 @@ entry:
         assert_eq!(members.len(), 2);
         let r0 = s.f.resources.by_name("R0").unwrap();
         assert_eq!(members[&r0].len(), 2);
-        let set = resource_set(&s.f, &members, r0);
-        assert!(set.is_phys);
-        assert_eq!(set.members.len(), 2);
     }
 }

@@ -55,11 +55,15 @@ pub enum Counter {
     AffinityPrunedInitial,
     /// Affinity edges discarded by the bipartite pruning rounds.
     AffinityPrunedBipartite,
-    /// Pin/merge rejections: paper interference class 1 (dominance with
-    /// overlapping live ranges — `variable_kills` Case 1).
+    /// Positive `variable_kills` Case-1 checks performed (paper
+    /// interference class 1: dominance with overlapping live ranges).
+    /// This measures interference *work*, not translation decisions: it
+    /// counts the checks that build `Resource_killed` sets as well as
+    /// those that reject a merge, so computing a killed set fewer times
+    /// lowers it without changing any pinning.
     InterfereClass1,
-    /// Rejections: class 2 (φ parallel-copy kill — `variable_kills`
-    /// Case 2).
+    /// Positive `variable_kills` Case-2 checks performed (class 2: φ
+    /// parallel-copy kill), counted like [`Counter::InterfereClass1`].
     InterfereClass2,
     /// Rejections: class 3 (φ arguments disagree in a shared
     /// predecessor).

@@ -306,3 +306,90 @@ fn trace_spans_nest_and_counters_replay() {
         assert_eq!(names(&first), names(&second), "seed {seed}");
     }
 }
+
+/// The coalescer's incrementally maintained `Resource_killed` sets are
+/// exact: after every component merge, every killed set it has computed
+/// equals `ResourceSet::killed_within` recomputed from scratch over the
+/// resource's current members, and every member's definition is pinned
+/// to its resource. Covers every interference mode × `depth_priority` ×
+/// `refine_gain`, on pressure-shaped and SPECint-shaped functions with
+/// ABI and SP pins in place (so merges absorb pre-pinned and physical
+/// resources too).
+#[test]
+fn incremental_killed_sets_match_recomputation() {
+    use tossa::analysis::AnalysisCache;
+    use tossa::bench::runner::front_end;
+    use tossa::core::collect::{pinning_abi, pinning_sp};
+    use tossa::core::interfere::ResourceSet;
+    use tossa::core::program_pinning_observed;
+
+    let pressure = SynthConfig {
+        functions: 1,
+        pool: 16,
+        max_depth: 3,
+        body_len: 8,
+    };
+    let specint = SynthConfig {
+        functions: 1,
+        ..Default::default()
+    };
+    let shapes = [("pressure", pressure, 3), ("specint", specint, 6)];
+    let (mut merges, mut nonempty) = (0usize, 0usize);
+    for (shape, cfg, n) in shapes {
+        for seed in seeds(11).into_iter().take(n) {
+            let mut base = front_end(&generate_function(seed, &cfg).func);
+            pinning_sp(&mut base);
+            pinning_abi(&mut base);
+            for mode in [
+                InterferenceMode::Exact,
+                InterferenceMode::Optimistic,
+                InterferenceMode::Pessimistic,
+            ] {
+                for depth_priority in [false, true] {
+                    for refine_gain in [false, true] {
+                        let opts = CoalesceOptions {
+                            mode,
+                            depth_priority,
+                            refine_gain,
+                        };
+                        let case = format!("{shape} seed {seed} {opts:?}");
+                        let mut f = base.clone();
+                        program_pinning_observed(
+                            &mut f,
+                            &opts,
+                            &mut AnalysisCache::new(),
+                            &mut |env, state| {
+                                merges += 1;
+                                for r in state.resources() {
+                                    let members = state.members(r);
+                                    for &x in members {
+                                        assert_eq!(env.f.var(x).pin, Some(r), "{case}");
+                                    }
+                                    let Some(mut kept) = state.killed(r) else {
+                                        continue;
+                                    };
+                                    let set = ResourceSet {
+                                        members: members.to_vec(),
+                                        is_phys: env.f.resources.as_phys(r).is_some(),
+                                    };
+                                    let mut fresh = set.killed_within(env);
+                                    kept.sort();
+                                    fresh.sort();
+                                    assert_eq!(
+                                        kept,
+                                        fresh,
+                                        "{case}: killed set of {} drifted",
+                                        env.f.resources.name(r)
+                                    );
+                                    nonempty += usize::from(!kept.is_empty());
+                                }
+                            },
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(merges > 0, "no merge observed");
+    assert!(nonempty > 0, "no nonempty killed set observed");
+}
