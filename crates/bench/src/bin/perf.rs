@@ -26,10 +26,13 @@
 //!   `DIR/trace.jsonl` (one `tossa-trace/1` line per function ×
 //!   experiment), `DIR/trace_chrome.json` (Chrome `trace_event`, open
 //!   in `about:tracing`/Perfetto), and print the counter summary.
-//!   `DIR` defaults to the current directory. Timing cells are always
-//!   measured untraced.
+//!   Unless `--no-alloc` is given, each traced function is also
+//!   allocated inside its capture, so the allocator's phase spans
+//!   (`alloc_intervals`, `alloc_scan`, `alloc_spill`, `alloc_verify`,
+//!   `alloc_finish`) attribute its time. `DIR` defaults to the current
+//!   directory. Timing cells are always measured untraced.
 
-use tossa_bench::runner::run_suite_each_traced;
+use tossa_bench::runner::{run_suite_each_traced, run_suite_each_traced_allocated};
 use tossa_bench::suites::all_suites;
 use tossa_bench::trajectory::{measure, measure_throughput, Trajectory};
 use tossa_core::coalesce::CoalesceOptions;
@@ -67,8 +70,9 @@ fn summarize(t: &Trajectory) {
 }
 
 /// Runs the focus suites under per-function trace capture and writes
-/// the JSONL stream plus the Chrome trace into `dir`.
-fn run_traced(dir: &str, spec_scale: usize, verify: bool) {
+/// the JSONL stream plus the Chrome trace into `dir`; with `alloc`, the
+/// allocation post-pass runs inside each capture.
+fn run_traced(dir: &str, spec_scale: usize, verify: bool, alloc: bool) {
     let opts = CoalesceOptions::default();
     let suites = all_suites(spec_scale);
     let mut labelled: Vec<(String, TraceData)> = Vec::new();
@@ -76,10 +80,12 @@ fn run_traced(dir: &str, spec_scale: usize, verify: bool) {
     let mut total = TraceData::default();
     for suite in suites.iter().filter(|s| FOCUS_SUITES.contains(&s.name)) {
         for &exp in Experiment::all() {
-            for (k, (_, trace)) in run_suite_each_traced(suite, exp, &opts, verify)
-                .into_iter()
-                .enumerate()
-            {
+            let traced = if alloc {
+                run_suite_each_traced_allocated(suite, exp, &opts, verify)
+            } else {
+                run_suite_each_traced(suite, exp, &opts, verify)
+            };
+            for (k, (_, trace)) in traced.into_iter().enumerate() {
                 let func = &suite.functions[k].func.name;
                 jsonl.push_str(&jsonl_record(func, &exp.to_string(), &trace));
                 jsonl.push('\n');
@@ -181,6 +187,6 @@ fn main() {
         let dir = value("--trace")
             .filter(|v| !v.starts_with("--"))
             .unwrap_or_else(|| ".".into());
-        run_traced(&dir, spec_scale, verify);
+        run_traced(&dir, spec_scale, verify, alloc);
     }
 }

@@ -598,6 +598,31 @@ pub fn run_suite_each_traced(
     })
 }
 
+/// [`run_suite_each_traced`] with the register-allocation post-pass
+/// inside each capture, so the trace carries the allocator's `alloc`
+/// span and its phase children (`alloc_intervals`, `alloc_scan`,
+/// `alloc_spill`, `alloc_verify`, `alloc_finish`) and its counters.
+///
+/// # Panics
+/// Panics on an allocation or verification failure (propagated from any
+/// worker).
+pub fn run_suite_each_traced_allocated(
+    suite: &Suite,
+    exp: Experiment,
+    opts: &CoalesceOptions,
+    verify_each: bool,
+) -> Vec<(RunResult, tossa_trace::TraceData)> {
+    par_map(suite.functions.len(), |k| {
+        let bf = &suite.functions[k];
+        tossa_trace::capture(|| {
+            let mut r = run_experiment(&bf.func, exp, opts);
+            apply_alloc(&mut r);
+            check(bf, exp, &r, verify_each);
+            r
+        })
+    })
+}
+
 /// [`run_suite_each_traced`] over a pre-converted suite (see
 /// [`prepare_suite`]), collecting *counters only*: each function's
 /// pipeline runs under a counters-only capture, starting from the

@@ -13,9 +13,8 @@
 //! is *rematerializable*: re-issuing the `make` at each use is never
 //! worse than a `spillld` and needs no stack slot at all.
 
-use std::collections::HashMap;
 use tossa_analysis::LoopInfo;
-use tossa_ir::ids::{Block, Var};
+use tossa_ir::ids::Var;
 use tossa_ir::{Function, Opcode};
 
 /// One web's spill cost.
@@ -37,8 +36,6 @@ pub struct SpillCosts {
     /// `Some(imm)` when the variable's single def is `make imm` and the
     /// variable is unpinned — re-issue the def instead of reloading.
     remat_imm: Vec<Option<i64>>,
-    /// Blocks holding at least one occurrence of each variable.
-    occ_blocks: HashMap<Var, Vec<Block>>,
 }
 
 impl SpillCosts {
@@ -48,35 +45,30 @@ impl SpillCosts {
         let mut costs = vec![VarCost::default(); n];
         let mut def_count = vec![0u32; n];
         let mut remat_imm: Vec<Option<i64>> = vec![None; n];
-        let mut occ_blocks: HashMap<Var, Vec<Block>> = HashMap::new();
-        for (b, i) in f.all_insts() {
+        for b in f.blocks() {
             let w = loops.weight(b);
             let d = loops.depth(b);
-            let inst = f.inst(i);
-            for o in inst.operands() {
-                let c = &mut costs[o.var.index()];
-                c.weight = c.weight.saturating_add(w);
-                c.depth = c.depth.max(d);
-                c.occurrences += 1;
-                let blocks = occ_blocks.entry(o.var).or_default();
-                if !blocks.contains(&b) {
-                    blocks.push(b);
+            for i in f.block_insts(b) {
+                let inst = f.inst(i);
+                for o in inst.operands() {
+                    let c = &mut costs[o.var.index()];
+                    c.weight = c.weight.saturating_add(w);
+                    c.depth = c.depth.max(d);
+                    c.occurrences += 1;
+                }
+                for o in inst.defs {
+                    let v = o.var;
+                    def_count[v.index()] += 1;
+                    remat_imm[v.index()] = match def_count[v.index()] {
+                        1 if inst.opcode == Opcode::Make && f.var(v).reg.is_none() => {
+                            Some(inst.imm)
+                        }
+                        _ => None,
+                    };
                 }
             }
-            for o in inst.defs {
-                let v = o.var;
-                def_count[v.index()] += 1;
-                remat_imm[v.index()] = match def_count[v.index()] {
-                    1 if inst.opcode == Opcode::Make && f.var(v).reg.is_none() => Some(inst.imm),
-                    _ => None,
-                };
-            }
         }
-        SpillCosts {
-            costs,
-            remat_imm,
-            occ_blocks,
-        }
+        SpillCosts { costs, remat_imm }
     }
 
     /// The cost of spilling `v`.
@@ -88,11 +80,6 @@ impl SpillCosts {
     /// rematerializable.
     pub fn remat_imm(&self, v: Var) -> Option<i64> {
         self.remat_imm.get(v.index()).copied().flatten()
-    }
-
-    /// Blocks holding an occurrence of `v` (insertion order).
-    pub fn occurrence_blocks(&self, v: Var) -> &[Block] {
-        self.occ_blocks.get(&v).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The `cost:` provenance rationale for spilling `v` (the grammar of

@@ -24,7 +24,7 @@
 //! hold another web, and merging keeps each web's range list in
 //! one-piece-per-real-hole form (and its envelope equal to its hull).
 
-use tossa_analysis::{AnalysisCache, Liveness};
+use tossa_analysis::{AnalysisCache, BitSet, Liveness};
 use tossa_ir::cfg::Cfg;
 use tossa_ir::ids::{Block, Var};
 use tossa_ir::machine::{PhysReg, RegClass};
@@ -108,29 +108,43 @@ impl Intervals {
 
     /// Liveness-accurate interference: do `a` and `b` have a position
     /// where both are live? Hull-disjoint pairs short-circuit; hull-
-    /// overlapping pairs walk their range lists in merge order.
+    /// overlapping pairs walk their range lists in merge order, each
+    /// starting at its first range ending after the other's hull starts
+    /// (found by binary search: the ranges before it cannot meet the
+    /// other web at all).
     pub fn overlap(&self, a: &Interval, b: &Interval) -> bool {
         if !a.overlaps(b) {
             return false;
         }
-        let (ra, rb) = (self.ranges_of(a), self.ranges_of(b));
         if a.range_len == 1 && b.range_len == 1 {
             return true; // the hulls already overlapped
         }
-        let (mut i, mut j) = (0, 0);
-        while i < ra.len() && j < rb.len() {
-            let (s1, e1) = ra[i];
-            let (s2, e2) = rb[j];
-            if s1 < e2 && s2 < e1 {
-                return true;
-            }
-            if e1 <= e2 {
-                i += 1;
-            } else {
-                j += 1;
-            }
+        let (ra, rb) = (self.ranges_of(a), self.ranges_of(b));
+        let i = ra.partition_point(|&(_, e)| e <= b.start);
+        let j = rb.partition_point(|&(_, e)| e <= a.start);
+        ranges_meet(&ra[i..], &rb[j..])
+    }
+
+    /// [`Intervals::overlap`] for the linear scan's holders. `a` is an
+    /// interval starting no later than `b` whose hull reaches `b.start`;
+    /// `cursor` indexes `a`'s first range that may still end after
+    /// `b.start`. The cursor is advanced to the range live at or after
+    /// `b.start`, so across a scan (nondecreasing `b.start`) every range
+    /// is stepped over once. A holder live at `b.start` overlaps `b`
+    /// without a walk; one in a lifetime hole walks from its next range.
+    pub(crate) fn overlap_at(&self, a: &Interval, cursor: &mut usize, b: &Interval) -> bool {
+        debug_assert!(a.start <= b.start && b.start <= a.end);
+        let ra = self.ranges_of(a);
+        while ra[*cursor].1 <= b.start {
+            *cursor += 1;
         }
-        false
+        let (next, _) = ra[*cursor];
+        if next <= b.start {
+            return true;
+        }
+        let rb = self.ranges_of(b);
+        let j = rb.partition_point(|&(_, e)| e <= next);
+        ranges_meet(&ra[*cursor..], &rb[j..])
     }
 
     /// Is `iv` live at position `p`?
@@ -163,6 +177,25 @@ impl Intervals {
                 .unwrap_or(false)
         })
     }
+}
+
+/// Do two sorted disjoint half-open range lists share a position? A
+/// merge-order walk.
+pub(crate) fn ranges_meet(ra: &[(u32, u32)], rb: &[(u32, u32)]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < ra.len() && j < rb.len() {
+        let (s1, e1) = ra[i];
+        let (s2, e2) = rb[j];
+        if s1 < e2 && s2 < e1 {
+            return true;
+        }
+        if e1 <= e2 {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    false
 }
 
 /// Reverse postorder with unreachable blocks appended, so every
@@ -234,6 +267,7 @@ fn build_inner(
 
     let mut block_span: Vec<(u32, u32)> = vec![(0, 0); f.num_blocks()];
     let mut base: u32 = 0;
+    let mut exit: BitSet<Var> = BitSet::new(f.num_vars());
     for &b in &order {
         let insts = &f.block(b).insts;
         let k_count = insts.len() as u32;
@@ -244,7 +278,8 @@ fn build_inner(
         // out is live at `end_pos` until a def inside the block closes
         // its segment.
         opened.clear();
-        for v in live.live_exit(f, b).iter() {
+        live.live_exit_into(f, b, &mut exit);
+        for v in exit.iter() {
             pending[v.index()] = end_pos + 1;
             opened.push(v);
         }
@@ -309,24 +344,39 @@ fn build_inner(
     pads.sort_unstable();
     let is_pad = |p: u32| pads.binary_search(&p).is_ok();
 
-    raw.sort_unstable();
+    // Bucket the segments by variable (a counting sort: one pass, no
+    // comparisons across webs), then order each web's few segments.
+    let mut head: Vec<u32> = vec![0; f.num_vars() + 1];
+    for &(v, _, _) in &raw {
+        head[v as usize + 1] += 1;
+    }
+    for v in 0..f.num_vars() {
+        head[v + 1] += head[v];
+    }
+    let mut fill = head.clone();
+    let mut segs: Vec<(u32, u32)> = vec![(0, 0); raw.len()];
+    for &(v, s, e) in &raw {
+        let at = &mut fill[v as usize];
+        segs[*at as usize] = (s, e);
+        *at += 1;
+    }
     let mut items: Vec<Interval> = Vec::new();
     let mut ranges: Vec<(u32, u32)> = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        let var_idx = raw[i].0;
+    for var_idx in 0..f.num_vars() {
+        let web = &mut segs[head[var_idx] as usize..head[var_idx + 1] as usize];
+        if web.is_empty() {
+            continue;
+        }
+        web.sort_unstable();
         let range_start = ranges.len() as u32;
-        let (mut cur_s, mut cur_e) = (raw[i].1, raw[i].2);
-        i += 1;
-        while i < raw.len() && raw[i].0 == var_idx {
-            let (s, e) = (raw[i].1, raw[i].2);
+        let (mut cur_s, mut cur_e) = web[0];
+        for &(s, e) in &web[1..] {
             if s <= cur_e || (s == cur_e + 1 && is_pad(cur_e)) {
                 cur_e = cur_e.max(e);
             } else {
                 ranges.push((cur_s, cur_e));
                 (cur_s, cur_e) = (s, e);
             }
-            i += 1;
         }
         ranges.push((cur_s, cur_e));
         let (start, end) = (ranges[range_start as usize].0, cur_e - 1);
@@ -335,7 +385,7 @@ fn build_inner(
             ranges.truncate(range_start as usize);
             ranges.push((start, end + 1));
         }
-        let var = Var::new(var_idx as usize);
+        let var = Var::new(var_idx);
         items.push(Interval {
             var,
             start,

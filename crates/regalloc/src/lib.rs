@@ -18,7 +18,10 @@
 //!    ([`Strategy::Graph`]) takes over. Pre-existing register identities
 //!    (`VarData::reg`, the out-of-SSA pinning results: ABI argument and
 //!    return registers, `SP`, predicate/pointer webs) are preserved
-//!    verbatim as precolored intervals.
+//!    verbatim as precolored intervals. Each failed round builds one
+//!    [`occ::OccIndex`] before rewriting, and every rewrite of the
+//!    round (rematerialization, splitting, spill-everywhere) visits
+//!    only its victims' occurrence blocks.
 //! 2. [`verify_allocation`] — independent recheck: no two
 //!    simultaneously-live variables share a register, precolored
 //!    variables kept their register, spill slots are written before they
@@ -30,7 +33,11 @@
 //!    surface as differential divergences, because distinct values
 //!    merged onto one register clobber each other).
 //!
-//! [`allocate`] runs all three. Per-function [`AllocStats`] report
+//! [`allocate`] runs all three, under an `alloc` trace span whose
+//! children attribute the time by phase: `alloc_intervals` (intervals
+//! and round analyses), `alloc_scan` (the assignment engine),
+//! `alloc_spill` (second chance and rewriting), `alloc_verify` and
+//! `alloc_finish`. Per-function [`AllocStats`] report
 //! registers used, spills, reloads, and the moves surviving allocation —
 //! the end-to-end quantity the paper's §5 move counts proxy for.
 
@@ -39,6 +46,7 @@
 pub mod cost;
 pub mod graph;
 pub mod intervals;
+pub mod occ;
 pub mod scan;
 pub mod spill;
 pub mod split;
@@ -334,6 +342,48 @@ pub struct Prepared {
     pub stats: AllocStats,
 }
 
+/// How a spill-loop rewrite disposes of its victims.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RewriteKind {
+    /// Rematerialization of a single-`make` web ([`spill::rematerialize`]).
+    Remat,
+    /// A region split ([`split::try_split`]).
+    Split,
+    /// The round's batched spill-everywhere rewrite
+    /// ([`spill::rewrite_spills`]).
+    Everywhere,
+}
+
+/// One rewrite of the spill loop, as shown to a [`SpillObserver`].
+#[derive(Clone, Copy, Debug)]
+pub struct Rewrite<'a> {
+    /// What the rewrite does.
+    pub kind: RewriteKind,
+    /// The victims it rewrites (one for remat and split, the whole
+    /// batch for spill-everywhere).
+    pub victims: &'a [Var],
+    /// The round's occurrence index, built before the round's first
+    /// rewrite; the rewrite visits only the victims' entries.
+    pub index: &'a occ::OccIndex,
+    /// Blocks that received a split's boundary copies (empty before the
+    /// rewrite and for the other kinds).
+    pub boundaries: &'a [Block],
+}
+
+/// Watches the spill loop of [`prepare_observed`] rewrite the function:
+/// `before` sees each rewrite's input, `after` its output (only when
+/// the rewrite changed the function; a split that finds no region
+/// reports no `after`). Both default to doing nothing.
+pub trait SpillObserver {
+    /// Called just before a rewrite.
+    fn before(&mut self, _f: &Function, _rw: &Rewrite<'_>) {}
+    /// Called just after a rewrite.
+    fn after(&mut self, _f: &Function, _rw: &Rewrite<'_>) {}
+}
+
+/// The observer [`prepare`] runs with: watches nothing.
+impl SpillObserver for () {}
+
 /// Runs assignment and spill insertion, mutating `f` with spill code but
 /// leaving it in virtual-register form.
 ///
@@ -342,6 +392,19 @@ pub struct Prepared {
 /// on contradictory precoloring, [`AllocError::OutOfRegisters`] when the
 /// round budget is exhausted.
 pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocError> {
+    prepare_observed(f, opts, &mut ())
+}
+
+/// [`prepare`] with every spill-loop rewrite shown to `obs` (the hook
+/// the spill property tests check rewrite locality through).
+///
+/// # Errors
+/// As [`prepare`].
+pub fn prepare_observed<O: SpillObserver>(
+    f: &mut Function,
+    opts: &AllocOptions,
+    obs: &mut O,
+) -> Result<Prepared, AllocError> {
     for (b, i) in f.all_insts() {
         if f.inst(i).is_phi() {
             return Err(AllocError::ResidualPhi { block: b });
@@ -372,25 +435,28 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
     for &(engine, is_fallback) in engines {
         for _ in 0..opts.max_rounds.max(1) {
             stats.rounds += 1;
-            let ivs = intervals::build_cached_with(f, &mut cache, opts.precision);
-            // Round-scoped analyses for the cost-driven policy, pulled
-            // from the cache *before* any rewrite mutates `f`.
-            let round = match opts.spill_policy {
-                SpillPolicy::Everywhere => None,
-                SpillPolicy::CostDriven => {
-                    let cfg = cache.cfg(f);
-                    let live = cache.liveness(f);
-                    let loops = cache.loops(f);
-                    let costs = cost::SpillCosts::compute(f, &loops);
-                    Some((cfg, live, loops, costs))
-                }
-            };
+            // Round-scoped analyses (the cost-driven policy's pulled
+            // from the cache *before* any rewrite mutates `f`).
+            let (ivs, round) = tossa_trace::span("alloc_intervals", || {
+                let ivs = intervals::build_cached_with(f, &mut cache, opts.precision);
+                let round = match opts.spill_policy {
+                    SpillPolicy::Everywhere => None,
+                    SpillPolicy::CostDriven => {
+                        let cfg = cache.cfg(f);
+                        let live = cache.liveness(f);
+                        let loops = cache.loops(f);
+                        let costs = cost::SpillCosts::compute(f, &loops);
+                        Some((cfg, live, loops, costs))
+                    }
+                };
+                (ivs, round)
+            });
             let costs = round.as_ref().map(|(_, _, _, c)| c);
-            let outcome = match engine {
+            let outcome = tossa_trace::span("alloc_scan", || match engine {
                 Strategy::Graph => graph::color(f, &ivs, &temps, costs),
                 _ => scan::scan(f, &ivs, &temps, costs),
-            };
-            match outcome {
+            });
+            let (reqs, partial) = match outcome {
                 Ok(assignment) => {
                     stats.fallback = is_fallback;
                     if is_fallback {
@@ -398,115 +464,7 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
                     }
                     return Ok(Prepared { assignment, stats });
                 }
-                Err(scan::ScanFail::Spill { reqs, partial }) => {
-                    // Second chance: the engines batch a whole round's
-                    // evictions, so by the end of the round the pressure
-                    // that evicted a web is often over-relieved. A split
-                    // sub-web back on the victim list would fall
-                    // terminally to spill-everywhere — probe the round's
-                    // finished partial assignment for a register free
-                    // across its ranges first. The rescue stands only
-                    // when *every* victim of the round is rescued (the
-                    // assignment is then complete); otherwise the other
-                    // victims force a rewrite-and-rescan anyway and the
-                    // rescued webs simply skip this round's spill code.
-                    let mut rescue_asg = partial;
-                    let mut rescues: Vec<(Var, PhysReg)> = Vec::new();
-                    if reqs.iter().any(|r| split_webs.contains(&r.var)) {
-                        if let Ok(blocked) = scan::Blocked::collect(&ivs) {
-                            for req in reqs.iter().filter(|r| split_webs.contains(&r.var)) {
-                                let Some(iv) = ivs.find(req.var) else {
-                                    continue;
-                                };
-                                let free = pools(f, iv.ptr_pref).into_iter().find(|&r| {
-                                    !blocked.conflicts(&ivs, r, iv)
-                                        && !ivs.items.iter().any(|other| {
-                                            other.var != iv.var
-                                                && rescue_asg.get(other.var) == Some(r)
-                                                && ivs.overlap(other, iv)
-                                        })
-                                });
-                                if let Some(r) = free {
-                                    rescue_asg.set(iv.var, r);
-                                    rescues.push((iv.var, r));
-                                }
-                            }
-                        }
-                    }
-                    if !rescues.is_empty() && rescues.len() == reqs.len() {
-                        for &(v, r) in &rescues {
-                            let cause = format!("second-chance:{}", f.machine.reg_name(r));
-                            record_spill_cause(f, &ivs, v, &cause);
-                        }
-                        stats.second_chances += rescues.len();
-                        stats.fallback = is_fallback;
-                        if is_fallback {
-                            tossa_trace::count(Counter::AllocFallbacks, 1);
-                        }
-                        return Ok(Prepared {
-                            assignment: rescue_asg,
-                            stats,
-                        });
-                    }
-                    let rescued: HashSet<Var> = rescues.into_iter().map(|(v, _)| v).collect();
-                    // Disposition per victim: rematerialize, split, or
-                    // spill everywhere. Remat and split run first so the
-                    // batched everywhere-rewrite sees the final shape.
-                    let mut everywhere: Vec<(Var, i64)> = Vec::new();
-                    for req in &reqs {
-                        let v = req.var;
-                        if rescued.contains(&v) {
-                            continue;
-                        }
-                        if let Some((cfg, live, loops, costs)) = &round {
-                            if let Some(imm) = costs.remat_imm(v) {
-                                if !remat_done.contains(&v) {
-                                    remat_done.insert(v);
-                                    record_spill_cause(f, &ivs, v, "remat:make");
-                                    let n = spill::rematerialize(f, v, imm, &mut temps);
-                                    stats.remats += n;
-                                    continue;
-                                }
-                            }
-                            if let Some(out) = split::try_split(
-                                f,
-                                v,
-                                req.at,
-                                &ivs,
-                                loops,
-                                live,
-                                cfg,
-                                costs,
-                                next_slot,
-                                &mut temps,
-                                &mut no_split,
-                            ) {
-                                split_webs.insert(out.hot_var);
-                                next_slot += 1;
-                                stats.splits += 1;
-                                stats.spilled_vars += 1;
-                                stats.stores += out.stores;
-                                stats.reloads += out.reloads;
-                                tossa_trace::count(Counter::AllocSpilledVars, 1);
-                                tossa_trace::count(Counter::AllocStores, out.stores as u64);
-                                tossa_trace::count(Counter::AllocReloads, out.reloads as u64);
-                                continue;
-                            }
-                        }
-                        everywhere.push((v, next_slot));
-                        next_slot += 1;
-                    }
-                    if !everywhere.is_empty() {
-                        let (st, rl) = spill::rewrite_spills_with_slots(f, &everywhere, &mut temps);
-                        stats.spilled_vars += everywhere.len();
-                        stats.stores += st;
-                        stats.reloads += rl;
-                        tossa_trace::count(Counter::AllocSpilledVars, everywhere.len() as u64);
-                        tossa_trace::count(Counter::AllocStores, st as u64);
-                        tossa_trace::count(Counter::AllocReloads, rl as u64);
-                    }
-                    cache.invalidate_instructions();
-                }
+                Err(scan::ScanFail::Spill { reqs, partial }) => (reqs, partial),
                 Err(scan::ScanFail::Hard(e)) => {
                     if matches!(e, AllocError::PinConflict { .. }) {
                         return Err(e);
@@ -514,6 +472,146 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
                     last_err = Some(e);
                     break;
                 }
+            };
+            let done = tossa_trace::span("alloc_spill", || {
+                // Second chance: the engines batch a whole round's
+                // evictions, so by the end of the round the pressure
+                // that evicted a web is often over-relieved. A split
+                // sub-web back on the victim list would fall terminally
+                // to spill-everywhere — probe the round's finished
+                // partial assignment for a register free across its
+                // ranges first. The rescue stands only when *every*
+                // victim of the round is rescued (the assignment is
+                // then complete); otherwise the other victims force a
+                // rewrite-and-rescan anyway and the rescued webs simply
+                // skip this round's spill code.
+                let mut rescue_asg = partial;
+                let mut rescues: Vec<(Var, PhysReg)> = Vec::new();
+                if reqs.iter().any(|r| split_webs.contains(&r.var)) {
+                    if let Ok(blocked) = scan::Blocked::collect(&ivs) {
+                        for req in reqs.iter().filter(|r| split_webs.contains(&r.var)) {
+                            let Some(iv) = ivs.find(req.var) else {
+                                continue;
+                            };
+                            let free = pools(f, iv.ptr_pref).into_iter().find(|&r| {
+                                !blocked.conflicts(&ivs, r, iv)
+                                    && !ivs.items.iter().any(|other| {
+                                        other.var != iv.var
+                                            && rescue_asg.get(other.var) == Some(r)
+                                            && ivs.overlap(other, iv)
+                                    })
+                            });
+                            if let Some(r) = free {
+                                rescue_asg.set(iv.var, r);
+                                rescues.push((iv.var, r));
+                            }
+                        }
+                    }
+                }
+                if !rescues.is_empty() && rescues.len() == reqs.len() {
+                    for &(v, r) in &rescues {
+                        let cause = format!("second-chance:{}", f.machine.reg_name(r));
+                        record_spill_cause(f, &ivs, v, &cause);
+                    }
+                    stats.second_chances += rescues.len();
+                    stats.fallback = is_fallback;
+                    if is_fallback {
+                        tossa_trace::count(Counter::AllocFallbacks, 1);
+                    }
+                    return Some(rescue_asg);
+                }
+                let rescued: HashSet<Var> = rescues.into_iter().map(|(v, _)| v).collect();
+                // One occurrence index drives every rewrite of the
+                // round; it stays exact for each victim until that
+                // victim's own rewrite (see [`occ`]).
+                let occ = occ::OccIndex::build(f);
+                // Disposition per victim: rematerialize, split, or
+                // spill everywhere. Remat and split run first so the
+                // batched everywhere-rewrite sees the final shape.
+                let mut everywhere: Vec<(Var, i64)> = Vec::new();
+                for req in &reqs {
+                    let v = req.var;
+                    if rescued.contains(&v) {
+                        continue;
+                    }
+                    if let Some((cfg, live, loops, costs)) = &round {
+                        let mut rw = Rewrite {
+                            kind: RewriteKind::Remat,
+                            victims: std::slice::from_ref(&req.var),
+                            index: &occ,
+                            boundaries: &[],
+                        };
+                        if let Some(imm) = costs.remat_imm(v) {
+                            if !remat_done.contains(&v) {
+                                remat_done.insert(v);
+                                record_spill_cause(f, &ivs, v, "remat:make");
+                                obs.before(f, &rw);
+                                let n = spill::rematerialize(f, &occ, v, imm, &mut temps);
+                                obs.after(f, &rw);
+                                stats.remats += n;
+                                continue;
+                            }
+                        }
+                        rw.kind = RewriteKind::Split;
+                        obs.before(f, &rw);
+                        if let Some(out) = split::try_split(
+                            f,
+                            v,
+                            req.at,
+                            &ivs,
+                            loops,
+                            live,
+                            cfg,
+                            &occ,
+                            next_slot,
+                            &mut temps,
+                            &mut no_split,
+                        ) {
+                            obs.after(
+                                f,
+                                &Rewrite {
+                                    boundaries: &out.boundaries,
+                                    ..rw
+                                },
+                            );
+                            split_webs.insert(out.hot_var);
+                            next_slot += 1;
+                            stats.splits += 1;
+                            stats.spilled_vars += 1;
+                            stats.stores += out.stores;
+                            stats.reloads += out.reloads;
+                            tossa_trace::count(Counter::AllocSpilledVars, 1);
+                            tossa_trace::count(Counter::AllocStores, out.stores as u64);
+                            tossa_trace::count(Counter::AllocReloads, out.reloads as u64);
+                            continue;
+                        }
+                    }
+                    everywhere.push((v, next_slot));
+                    next_slot += 1;
+                }
+                if !everywhere.is_empty() {
+                    let victims: Vec<Var> = everywhere.iter().map(|&(v, _)| v).collect();
+                    let rw = Rewrite {
+                        kind: RewriteKind::Everywhere,
+                        victims: &victims,
+                        index: &occ,
+                        boundaries: &[],
+                    };
+                    obs.before(f, &rw);
+                    let (st, rl) = spill::rewrite_spills(f, &occ, &everywhere, &mut temps);
+                    obs.after(f, &rw);
+                    stats.spilled_vars += everywhere.len();
+                    stats.stores += st;
+                    stats.reloads += rl;
+                    tossa_trace::count(Counter::AllocSpilledVars, everywhere.len() as u64);
+                    tossa_trace::count(Counter::AllocStores, st as u64);
+                    tossa_trace::count(Counter::AllocReloads, rl as u64);
+                }
+                cache.invalidate_instructions();
+                None
+            });
+            if let Some(assignment) = done {
+                return Ok(Prepared { assignment, stats });
             }
         }
     }
@@ -594,9 +692,9 @@ pub fn allocate(f: &mut Function, opts: &AllocOptions) -> Result<AllocStats, All
     tossa_trace::span("alloc", || {
         let prep = prepare(f, opts)?;
         if opts.verify {
-            verify_allocation(f, &prep.assignment)?;
+            tossa_trace::span("alloc_verify", || verify_allocation(f, &prep.assignment))?;
         }
-        Ok(finish(f, prep))
+        Ok(tossa_trace::span("alloc_finish", || finish(f, prep)))
     })
 }
 

@@ -24,7 +24,7 @@
 //! split sub-webs against that assignment before falling back to
 //! spill-everywhere.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use tossa_ir::ids::Var;
 use tossa_ir::machine::{PhysReg, RegClass};
 use tossa_ir::print::var_str;
@@ -32,7 +32,7 @@ use tossa_ir::Function;
 use tossa_trace::provenance;
 
 use crate::cost::SpillCosts;
-use crate::intervals::{Interval, Intervals};
+use crate::intervals::{ranges_meet, Interval, Intervals};
 use crate::{pools, AllocError, Assignment};
 
 /// One eviction decision: which web to spill and the linear position of
@@ -65,46 +65,99 @@ pub enum ScanFail {
     Hard(AllocError),
 }
 
-/// Per-register reservations made by precolored intervals.
+/// Per-register reservations made by precolored intervals: a dense
+/// table, indexed by register id up to the highest precolored one, of
+/// the sorted disjoint ranges the register is reserved over.
 pub(crate) struct Blocked {
-    /// Item indices of precolored intervals, by register id.
-    by_reg: HashMap<u8, Vec<usize>>,
+    by_reg: Vec<Vec<(u32, u32)>>,
 }
 
 impl Blocked {
     /// Collects precolored reservations; errors when two precolored
     /// intervals on one register have overlapping ranges (sharing a
-    /// register across disjoint ranges is legal).
+    /// register across disjoint ranges is legal). With conflicts on
+    /// several registers, the lowest register's first conflicting pair
+    /// in interval order is reported, so the report is replayable.
     pub(crate) fn collect(ivs: &Intervals) -> Result<Blocked, AllocError> {
-        let mut by_reg: HashMap<u8, Vec<usize>> = HashMap::new();
+        let regs = ivs
+            .items
+            .iter()
+            .filter_map(|iv| iv.pre)
+            .map(|r| usize::from(r.0) + 1)
+            .max()
+            .unwrap_or(0);
+        let mut owners: Vec<Vec<usize>> = vec![Vec::new(); regs];
         for (idx, iv) in ivs.items.iter().enumerate() {
             if let Some(r) = iv.pre {
-                by_reg.entry(r.0).or_default().push(idx);
+                owners[r.0 as usize].push(idx);
             }
         }
-        for (&reg, idxs) in &by_reg {
-            for (i, &a) in idxs.iter().enumerate() {
-                for &b in &idxs[i + 1..] {
-                    if ivs.overlap(&ivs.items[a], &ivs.items[b]) {
-                        return Err(AllocError::PinConflict {
-                            reg: PhysReg(reg),
-                            a: ivs.items[a].var,
-                            b: ivs.items[b].var,
-                        });
+        let mut by_reg: Vec<Vec<(u32, u32)>> = vec![Vec::new(); regs];
+        for (reg, idxs) in owners.iter().enumerate() {
+            if idxs.is_empty() {
+                continue;
+            }
+            let mut ranges: Vec<(u32, u32)> = idxs
+                .iter()
+                .flat_map(|&i| ivs.ranges_of(&ivs.items[i]).iter().copied())
+                .collect();
+            ranges.sort_unstable();
+            // Sorted by start, some two ranges overlap exactly when two
+            // neighbours do; each interval's own ranges are disjoint, so
+            // an overlap means two intervals collide.
+            if ranges.windows(2).any(|w| w[1].0 < w[0].1) {
+                for (i, &a) in idxs.iter().enumerate() {
+                    for &b in &idxs[i + 1..] {
+                        if ivs.overlap(&ivs.items[a], &ivs.items[b]) {
+                            return Err(AllocError::PinConflict {
+                                reg: PhysReg(reg as u8),
+                                a: ivs.items[a].var,
+                                b: ivs.items[b].var,
+                            });
+                        }
                     }
                 }
             }
+            by_reg[reg] = ranges;
         }
         Ok(Blocked { by_reg })
     }
 
     /// Does register `r` carry a precolored reservation whose ranges
-    /// overlap `iv`'s?
+    /// overlap `iv`'s? The walk starts at the first reserved range
+    /// ending after `iv` starts.
     pub(crate) fn conflicts(&self, ivs: &Intervals, r: PhysReg, iv: &Interval) -> bool {
-        self.by_reg
-            .get(&r.0)
-            .map(|v| v.iter().any(|&i| ivs.overlap(&ivs.items[i], iv)))
-            .unwrap_or(false)
+        let Some(reserved) = self.by_reg.get(r.0 as usize) else {
+            return false;
+        };
+        let i = reserved.partition_point(|&(_, e)| e <= iv.start);
+        ranges_meet(&reserved[i..], ivs.ranges_of(iv))
+    }
+}
+
+/// A register holder of the scan: an assigned interval whose hull still
+/// reaches the current position, live there or inside a lifetime hole.
+struct Holder {
+    /// Hull end (inclusive).
+    end: u32,
+    reg: PhysReg,
+    /// Item index of the interval.
+    idx: usize,
+    spillable: bool,
+    /// Range cursor for [`Intervals::overlap_at`]: only moves forward,
+    /// as the scan's position does.
+    cursor: usize,
+}
+
+impl Holder {
+    fn new(iv: &Interval, reg: PhysReg, idx: usize, spillable: bool) -> Holder {
+        Holder {
+            end: iv.end,
+            reg,
+            idx,
+            spillable,
+            cursor: 0,
+        }
     }
 }
 
@@ -131,8 +184,7 @@ pub fn scan(
     }
     let norm = |w: u64, v: Var| -> (u128, u128) { (u128::from(w), u128::from(len_of[v.index()])) };
     let mut asg = Assignment::new(f.num_vars());
-    // (hull end, reg, item index, spillable)
-    let mut active: Vec<(u32, PhysReg, usize, bool)> = Vec::new();
+    let mut active: Vec<Holder> = Vec::new();
     let mut spills: Vec<SpillReq> = Vec::new();
     // Candidate pools are interval-independent apart from the pointer
     // preference; computed once per scan, not once per interval.
@@ -146,10 +198,10 @@ pub fn scan(
     let mut touched: Vec<u8> = Vec::new();
 
     for (idx, iv) in ivs.items.iter().enumerate() {
-        active.retain(|&(end, _, _, _)| end >= iv.start);
+        active.retain(|a| a.end >= iv.start);
         if let Some(r) = iv.pre {
             asg.set(iv.var, r);
-            active.push((iv.end, r, idx, false));
+            active.push(Holder::new(iv, r, idx, false));
             continue;
         }
         let spillable = !temps.contains(&iv.var);
@@ -167,8 +219,9 @@ pub fn scan(
             over_count[t as usize] = 0;
         }
         touched.clear();
-        for (ai, &(_, r, aidx, _)) in active.iter().enumerate() {
-            if ivs.overlap(&ivs.items[aidx], iv) {
+        for (ai, a) in active.iter_mut().enumerate() {
+            if ivs.overlap_at(&ivs.items[a.idx], &mut a.cursor, iv) {
+                let r = a.reg;
                 if over_count[r.0 as usize] == 0 {
                     touched.push(r.0);
                 }
@@ -182,7 +235,7 @@ pub fn scan(
             .find(|&r| usable(r) && over_count[r.0 as usize] == 0);
         if let Some(r) = chosen {
             asg.set(iv.var, r);
-            active.push((iv.end, r, idx, spillable));
+            active.push(Holder::new(iv, r, idx, spillable));
             continue;
         }
         // No free register: evict a spillable *sole* overlapping holder
@@ -195,10 +248,13 @@ pub fn scan(
         let candidates = active
             .iter()
             .enumerate()
-            .filter(|&(ai, &(_, r, _, sp))| {
-                sp && usable(r) && over_count[r.0 as usize] == 1 && sole[r.0 as usize] == ai
+            .filter(|&(ai, a)| {
+                a.spillable
+                    && usable(a.reg)
+                    && over_count[a.reg.0 as usize] == 1
+                    && sole[a.reg.0 as usize] == ai
             })
-            .map(|(ai, &(end, r, aidx, _))| (ai, end, r, ivs.items[aidx].var));
+            .map(|(ai, a)| (ai, a.end, a.reg, ivs.items[a.idx].var));
         let victim = match costs {
             None => candidates.max_by_key(|&(_, end, _, _)| end),
             Some(c) => candidates.min_by(|&(_, enda, _, va), &(_, endb, _, vb)| {
@@ -253,7 +309,7 @@ pub fn scan(
                     }
                 });
                 asg.set(iv.var, r);
-                active.push((iv.end, r, idx, spillable));
+                active.push(Holder::new(iv, r, idx, spillable));
             }
             _ if spillable => {
                 spills.push(SpillReq {
@@ -383,5 +439,52 @@ entry:
             matches!(Blocked::collect(&hull), Err(AllocError::PinConflict { .. })),
             "hull precision must reject the same pinning"
         );
+    }
+
+    /// Conflicts on two registers at once: every call reports the same
+    /// one — the lower register's — so failure reports replay.
+    #[test]
+    fn pin_conflict_report_is_deterministic() {
+        let mut f = parse_function(
+            "func @pc2 {
+entry:
+  %a, %c = input
+  %b = mov %a
+  %d = mov %c
+  %x = add %a, %b
+  %y = add %c, %d
+  %r = add %x, %y
+  ret %r
+}",
+            &Machine::dsp32(),
+        )
+        .unwrap();
+        let m = Machine::dsp32();
+        let (r5, r6) = (m.reg_by_name("R5").unwrap(), m.reg_by_name("R6").unwrap());
+        let vars: Vec<_> = f.vars().collect();
+        for v in vars {
+            match f.var(v).name.as_str() {
+                "a" | "b" => f.var_mut(v).reg = Some(r6),
+                "c" | "d" => f.var_mut(v).reg = Some(r5),
+                _ => {}
+            }
+        }
+        let ivs = intervals::build(&f);
+        let mut reports: Vec<AllocError> = Vec::new();
+        for _ in 0..64 {
+            let e = Blocked::collect(&ivs).err().expect("two pin conflicts");
+            if !reports.contains(&e) {
+                reports.push(e);
+            }
+        }
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        let name = |v: Var| f.var(v).name.clone();
+        match &reports[0] {
+            AllocError::PinConflict { reg, a, b } => {
+                assert_eq!(*reg, r5.min(r6));
+                assert_eq!((name(*a), name(*b)), ("c".into(), "d".into()));
+            }
+            e => panic!("{e:?}"),
+        }
     }
 }

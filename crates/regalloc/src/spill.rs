@@ -1,150 +1,121 @@
 //! Spill rewriting through the stack-slot model.
 //!
-//! Three rewrites live here, all driven by the spill loop in
-//! [`crate::prepare`]:
+//! Two rewrites live here, both driven by the spill loop in
+//! [`crate::prepare`] and both confined to the blocks the round's
+//! [`OccIndex`] lists for their victims:
 //!
-//! - **Spill-everywhere** ([`rewrite_spills`] / [`rewrite_spills_with_slots`]):
-//!   each evicted variable gets one stack slot for the whole function.
-//!   Every instruction that reads it gets a fresh reload temporary
+//! - **Spill-everywhere** ([`rewrite_spills`]): each evicted variable
+//!   gets one stack slot for the whole function. Every instruction
+//!   that reads it gets a fresh reload temporary
 //!   (`tmp = spillld slot`) inserted just before it; every instruction
 //!   that writes it gets a fresh store temporary followed by
 //!   `spillst tmp, slot`. Temporaries live for exactly one instruction,
 //!   are recorded as unspillable, and shrink register pressure at every
 //!   original program point — which is what makes the spill-and-rescan
-//!   loop terminate.
-//! - **Region-filtered spill** ([`rewrite_spills_outside`]): the same
-//!   rewrite restricted to blocks outside a loop region; the
-//!   live-range-splitting layer ([`crate::split`]) uses it for the cold
-//!   side of a split web.
+//!   loop terminate. The live-range-splitting layer ([`crate::split`])
+//!   runs the same rewrite over the victim's occurrence blocks outside
+//!   its region for the cold side of a split web.
 //! - **Rematerialization** ([`rematerialize`]): a web whose single def is
 //!   a pure `make` is re-issued before each use instead of reloaded, and
 //!   its original def deleted — no slot, no memory traffic.
+//!
+//! Blocks are visited in block-index order, the order a whole-function
+//! walk would take, and a block without an occurrence of a victim would
+//! come out of the rewrite unchanged; so the fresh temporaries are
+//! created in the same order, and the code is the same, as if every
+//! block had been walked.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use tossa_ir::ids::{Block, Var};
 use tossa_ir::instr::{InstData, Operand};
 use tossa_ir::{Function, Opcode};
 
-/// Rewrites `vars` through freshly assigned spill slots. Returns
-/// `(stores, reloads)` inserted. `next_slot` persists across rounds so
-/// slots never collide; the fresh temporaries are added to `temps`.
+use crate::occ::OccIndex;
+
+/// Rewrites every victim of `pairs` through its slot at every
+/// occurrence, visiting the union of the victims' occurrence blocks.
+/// Returns `(stores, reloads)` inserted; the fresh temporaries are added
+/// to `temps`.
 pub fn rewrite_spills(
     f: &mut Function,
-    vars: &[Var],
-    next_slot: &mut i64,
-    temps: &mut HashSet<Var>,
-) -> (usize, usize) {
-    let pairs: Vec<(Var, i64)> = vars
-        .iter()
-        .map(|&v| {
-            let s = *next_slot;
-            *next_slot += 1;
-            (v, s)
-        })
-        .collect();
-    rewrite_spills_with_slots(f, &pairs, temps)
-}
-
-/// [`rewrite_spills`] with caller-assigned slots (the cost-driven driver
-/// assigns slots up front so splitting and everywhere-spilling share one
-/// slot namespace).
-pub fn rewrite_spills_with_slots(
-    f: &mut Function,
+    occ: &OccIndex,
     pairs: &[(Var, i64)],
     temps: &mut HashSet<Var>,
 ) -> (usize, usize) {
-    rewrite_filtered(f, pairs, temps, &|_| false)
+    let blocks = occ.union(pairs.iter().map(|&(v, _)| v));
+    rewrite_in_blocks(f, pairs, &blocks, temps)
 }
 
-/// Spill-everywhere restricted to blocks *outside* `region`: the cold
-/// side of a live-range split. Occurrences inside `region` are left
-/// untouched (the split renamed them to the hot sub-web already).
-pub fn rewrite_spills_outside(
+/// The spill rewrite of `pairs`, restricted to `blocks` (which must be
+/// in block-index order). Occurrences in other blocks are left alone:
+/// the split's cold side passes the victim's occurrence blocks outside
+/// its region.
+pub(crate) fn rewrite_in_blocks(
     f: &mut Function,
     pairs: &[(Var, i64)],
+    blocks: &[Block],
     temps: &mut HashSet<Var>,
-    region: &[Block],
 ) -> (usize, usize) {
-    rewrite_filtered(f, pairs, temps, &|b| region.contains(&b))
-}
-
-fn rewrite_filtered(
-    f: &mut Function,
-    pairs: &[(Var, i64)],
-    temps: &mut HashSet<Var>,
-    skip: &dyn Fn(Block) -> bool,
-) -> (usize, usize) {
-    let slot_of: HashMap<Var, i64> = pairs.iter().copied().collect();
+    let mut slot_of: Vec<Option<i64>> = vec![None; f.num_vars()];
+    for &(v, slot) in pairs {
+        slot_of[v.index()] = Some(slot);
+    }
+    let slot = |v: Var| slot_of.get(v.index()).copied().flatten();
     let mut stores = 0usize;
     let mut reloads = 0usize;
 
-    let blocks: Vec<_> = f.blocks().collect();
-    for b in blocks {
-        if skip(b) {
-            continue;
-        }
+    for &b in blocks {
         let old: Vec<_> = f.block_insts(b).collect();
         let mut new_list = Vec::with_capacity(old.len());
         for i in old {
-            // One reload temp per distinct spilled variable used here.
-            let used: Vec<Var> = {
-                let mut seen = Vec::new();
-                for o in f.inst(i).uses {
-                    if slot_of.contains_key(&o.var) && !seen.contains(&o.var) {
-                        seen.push(o.var);
-                    }
+            if !f.inst(i).operands().any(|o| slot(o.var).is_some()) {
+                new_list.push(i);
+                continue;
+            }
+            // One reload temp per distinct spilled variable used here,
+            // in order of first use.
+            let mut reload_tmp: Vec<(Var, Var)> = Vec::new();
+            for k in 0..f.inst(i).uses.len() {
+                let v = f.inst(i).uses[k].var;
+                let Some(s) = slot(v) else { continue };
+                if reload_tmp.iter().any(|&(w, _)| w == v) {
+                    continue;
                 }
-                seen
-            };
-            let mut reload_tmp: HashMap<Var, Var> = HashMap::new();
-            for v in used {
-                let slot = slot_of[&v];
-                let name = format!("{}.r", f.var(v).name);
-                let tmp = f.new_var(name);
+                let tmp = f.new_var(format!("{}.r", f.var(v).name));
                 temps.insert(tmp);
                 let ld = InstData::new(Opcode::SpillLoad)
                     .with_defs(vec![Operand::new(tmp)])
-                    .with_imm(slot);
+                    .with_imm(s);
                 new_list.push(f.alloc_inst(ld));
-                reload_tmp.insert(v, tmp);
+                reload_tmp.push((v, tmp));
                 reloads += 1;
-            }
-            let mut store_after: Vec<(Var, i64)> = Vec::new();
-            {
-                let inst = f.inst_mut(i);
-                for o in inst.uses.iter_mut() {
-                    if let Some(&tmp) = reload_tmp.get(&o.var) {
-                        o.var = tmp;
-                    }
-                }
-                for o in inst.defs.iter_mut() {
-                    if let Some(&slot) = slot_of.get(&o.var) {
-                        store_after.push((o.var, slot));
-                    }
-                }
             }
             // Fresh store temp per spilled def (defs are distinct vars
             // within one instruction after validation).
-            let mut def_tmp: HashMap<Var, Var> = HashMap::new();
-            for &(v, _) in &store_after {
-                let name = format!("{}.w", f.var(v).name);
-                let tmp = f.new_var(name);
+            let mut store_tmp: Vec<(Var, Var, i64)> = Vec::new();
+            for k in 0..f.inst(i).defs.len() {
+                let v = f.inst(i).defs[k].var;
+                let Some(s) = slot(v) else { continue };
+                let tmp = f.new_var(format!("{}.w", f.var(v).name));
                 temps.insert(tmp);
-                def_tmp.insert(v, tmp);
+                store_tmp.push((v, tmp, s));
             }
-            {
-                let inst = f.inst_mut(i);
-                for o in inst.defs.iter_mut() {
-                    if let Some(&tmp) = def_tmp.get(&o.var) {
-                        o.var = tmp;
-                    }
+            let inst = f.inst_mut(i);
+            for o in inst.uses.iter_mut() {
+                if let Some(&(_, tmp)) = reload_tmp.iter().find(|&&(v, _)| v == o.var) {
+                    o.var = tmp;
+                }
+            }
+            for o in inst.defs.iter_mut() {
+                if let Some(&(_, tmp, _)) = store_tmp.iter().find(|&&(v, _, _)| v == o.var) {
+                    o.var = tmp;
                 }
             }
             new_list.push(i);
-            for (v, slot) in store_after {
+            for (_, tmp, s) in store_tmp {
                 let st = InstData::new(Opcode::SpillStore)
-                    .with_uses(vec![Operand::new(def_tmp[&v])])
-                    .with_imm(slot);
+                    .with_uses(vec![Operand::new(tmp)])
+                    .with_imm(s);
                 new_list.push(f.alloc_inst(st));
                 stores += 1;
             }
@@ -156,13 +127,18 @@ fn rewrite_filtered(
 
 /// Rematerializes `v` (single def `make imm`): re-issues the `make` into
 /// a fresh one-instruction temporary before every use and deletes the
-/// original def, eliminating `v` without a stack slot. Returns the
-/// number of re-issued defs. The temporaries join `temps` (unspillable,
-/// like reload temps).
-pub fn rematerialize(f: &mut Function, v: Var, imm: i64, temps: &mut HashSet<Var>) -> usize {
+/// original def, eliminating `v` without a stack slot. Visits only `v`'s
+/// occurrence blocks. Returns the number of re-issued defs. The
+/// temporaries join `temps` (unspillable, like reload temps).
+pub fn rematerialize(
+    f: &mut Function,
+    occ: &OccIndex,
+    v: Var,
+    imm: i64,
+    temps: &mut HashSet<Var>,
+) -> usize {
     let mut remats = 0usize;
-    let blocks: Vec<_> = f.blocks().collect();
-    for b in blocks {
+    for &b in occ.blocks(v) {
         let old: Vec<_> = f.block_insts(b).collect();
         let mut new_list = Vec::with_capacity(old.len());
         for i in old {
@@ -222,12 +198,11 @@ exit:
         let mut f = parse_function(text, &Machine::dsp32()).unwrap();
         let before = interp::run(&f, &[6], 10_000).unwrap().outputs;
         let z = f.vars().find(|&v| f.var(v).name == "z").unwrap();
-        let mut next_slot = 0;
+        let occ = OccIndex::build(&f);
         let mut temps = HashSet::new();
-        let (st, rl) = rewrite_spills(&mut f, &[z], &mut next_slot, &mut temps);
+        let (st, rl) = rewrite_spills(&mut f, &occ, &[(z, 0)], &mut temps);
         f.validate().unwrap();
         assert!(st >= 2 && rl >= 2, "stores={st} reloads={rl}\n{f}");
-        assert_eq!(next_slot, 1);
         assert!(!temps.is_empty());
         assert_eq!(
             interp::run(&f, &[6], 10_000).unwrap().outputs,
@@ -257,7 +232,8 @@ entry:
         let before = interp::run(&f, &[3], 100).unwrap().outputs;
         let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
         let mut temps = HashSet::new();
-        let n = rematerialize(&mut f, k, 9, &mut temps);
+        let occ = OccIndex::build(&f);
+        let n = rematerialize(&mut f, &occ, k, 9, &mut temps);
         f.validate().unwrap();
         assert_eq!(n, 2, "{f}");
         assert_eq!(temps.len(), 2);

@@ -39,8 +39,8 @@ use tossa_ir::print::var_str;
 use tossa_ir::{Function, Opcode};
 use tossa_trace::provenance;
 
-use crate::cost::SpillCosts;
 use crate::intervals::Intervals;
+use crate::occ::OccIndex;
 
 /// What a committed split inserted.
 #[derive(Clone, Debug)]
@@ -62,25 +62,38 @@ struct Region {
     body: Vec<Block>,
 }
 
-/// Picks the hottest eligible region for splitting `v`, or `None` when
-/// no region qualifies (the conflict sits inside every candidate, a
-/// candidate has side entries or no entry predecessor, or the web never
-/// leaves it). Loop regions are tried first and win heat ties over
-/// single-block regions, which exist so a web can keep its register in
-/// a straight-line block even when no loop shape applies.
+/// Picks the hottest eligible region for splitting the web occurring in
+/// `occ`, or `None` when no region qualifies (the conflict sits inside
+/// every candidate, a candidate has side entries or no entry
+/// predecessor, or the web never leaves it). Loop regions are tried
+/// first and win heat ties over single-block regions, which exist so a
+/// web can keep its register in a straight-line block even when no loop
+/// shape applies. `mask` is an all-`false` per-block scratch table,
+/// all-`false` again whenever a region is returned.
 fn pick_region(
-    v: Var,
+    occ: &[Block],
     conflict_at: u32,
     ivs: &Intervals,
     loops: &LoopInfo,
     cfg: &Cfg,
-    costs: &SpillCosts,
+    mask: &mut [bool],
 ) -> Option<Region> {
-    let occ = costs.occurrence_blocks(v);
     let mut best: Option<(u64, Region)> = None;
+    for &b in occ {
+        mask[b.index()] = true;
+    }
     for &h in loops.headers() {
         let body = loops.body(h)?;
-        if !occ.iter().any(|b| body.contains(b)) {
+        // Occurrences inside the region, and their heat; bodies hold
+        // each block once.
+        let (mut inside, mut heat) = (0usize, 0u64);
+        for &b in body {
+            if mask[b.index()] {
+                inside += 1;
+                heat += loops.weight(b);
+            }
+        }
+        if inside == 0 {
             continue;
         }
         // The pressure point must lie outside the region, otherwise the
@@ -90,107 +103,111 @@ fn pick_region(
         }
         // The web must exist outside the region — otherwise there is no
         // cold part to spill.
-        if !occ.iter().any(|b| !body.contains(b)) {
+        if inside == occ.len() {
             continue;
         }
         // Reducible region shape: every edge from outside enters through
-        // the header.
+        // the header. At least one entry predecessor (a detached loop
+        // cannot be stitched).
+        let in_body = |b: &Block| body.contains(b);
         let side_entry = body
             .iter()
-            .any(|&b| b != h && cfg.preds(b).iter().any(|p| !body.contains(p)));
-        if side_entry {
+            .any(|&b| b != h && cfg.preds(b).iter().any(|p| !in_body(p)));
+        if side_entry || !cfg.preds(h).iter().any(|p| !in_body(p)) {
             continue;
         }
-        // At least one entry predecessor (a detached loop cannot be
-        // stitched).
-        if !cfg.preds(h).iter().any(|p| !body.contains(p)) {
-            continue;
-        }
-        let heat: u64 = occ
-            .iter()
-            .filter(|b| body.contains(b))
-            .map(|&b| loops.weight(b))
-            .sum();
-        let region = Region {
-            header: h,
-            body: body.to_vec(),
-        };
         if best.as_ref().map(|(w, _)| heat > *w).unwrap_or(true) {
-            best = Some((heat, region));
+            best = Some((
+                heat,
+                Region {
+                    header: h,
+                    body: body.to_vec(),
+                },
+            ));
         }
+    }
+    for &b in occ {
+        mask[b.index()] = false;
     }
     // Non-loop fallback: a single occurrence-holding block away from
     // the pressure point. Header == body, so the side-entry condition
     // is vacuous; the remaining checks mirror the loop case.
-    for &b in occ {
-        if ivs.position_in_blocks(conflict_at, &[b]) {
-            continue;
-        }
-        if !occ.iter().any(|&o| o != b) {
-            continue;
-        }
-        if !cfg.preds(b).iter().any(|&p| p != b) {
-            continue;
-        }
-        let heat = loops.weight(b);
-        let region = Region {
-            header: b,
-            body: vec![b],
-        };
-        if best.as_ref().map(|(w, _)| heat > *w).unwrap_or(true) {
-            best = Some((heat, region));
+    if occ.len() > 1 {
+        for &b in occ {
+            if ivs.position_in_blocks(conflict_at, &[b]) {
+                continue;
+            }
+            if !cfg.preds(b).iter().any(|&p| p != b) {
+                continue;
+            }
+            let heat = loops.weight(b);
+            if best.as_ref().map(|(w, _)| heat > *w).unwrap_or(true) {
+                best = Some((
+                    heat,
+                    Region {
+                        header: b,
+                        body: vec![b],
+                    },
+                ));
+            }
         }
     }
     best.map(|(_, r)| r)
 }
 
+/// Does `b` define `v`?
+fn defines(f: &Function, b: Block, v: Var) -> bool {
+    f.block_insts(b)
+        .any(|i| f.inst(i).defs.iter().any(|o| o.var == v))
+}
+
 /// Must-written pre-check over the *planned* spill code: `true` when
-/// every planned reload of `slot` (cold-side reloads before outside uses
-/// of `v`, plus the boundary reload at each entry predecessor) is
-/// preceded by a store on all paths.
+/// every planned reload of the web's slot (cold-side reloads before the
+/// uses of `v` in `cold`, plus the boundary reload at each entry
+/// predecessor) is preceded by a store on all paths. `cold` lists `v`'s
+/// occurrence blocks outside the region.
 fn planned_slot_is_must_written(
     f: &Function,
     cfg: &Cfg,
     v: Var,
-    region: &Region,
+    cold: &[Block],
     entry_preds: &[Block],
     exit_stores: &[Block],
     needs_entry_reload: bool,
 ) -> bool {
-    let in_body = |b: Block| region.body.contains(&b);
     // gen[b]: block b will contain a spillst to the web's slot — a
     // cold-side def (store follows immediately) or a planned exit store.
-    let gen = |b: Block| {
-        (!in_body(b)
-            && f.block_insts(b)
-                .any(|i| f.inst(i).defs.iter().any(|o| o.var == v)))
-            || exit_stores.contains(&b)
-    };
-    // Forward all-paths dataflow: in[entry] = false, in[b] = AND over
-    // preds of (in[p] | gen[p]). Unreachable blocks stay at top (the
+    // Only occurrence blocks can hold a def.
+    let mut gen = vec![false; f.num_blocks()];
+    for &b in cold {
+        gen[b.index()] = defines(f, b, v);
+    }
+    for &b in exit_stores {
+        gen[b.index()] = true;
+    }
+    // Forward all-paths dataflow, in[entry] = false and in[b] = AND over
+    // preds of (in[p] | gen[p]), solved in one sweep: in[b] is false
+    // exactly when some path from entry reaches b through blocks that
+    // are all non-gen, so a search from entry that stops at gen blocks
+    // marks every such b. Unreachable blocks stay at top (the
     // post-verifier is equally lenient there).
     let mut inb = vec![true; f.num_blocks()];
     inb[f.entry.index()] = false;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in cfg.rpo() {
-            if b == f.entry {
-                continue;
-            }
-            let preds = cfg.preds(b);
-            let v_in = !preds.is_empty() && preds.iter().all(|&p| inb[p.index()] || gen(p));
-            if v_in != inb[b.index()] {
-                inb[b.index()] = v_in;
-                changed = true;
+    let mut stack = vec![f.entry];
+    while let Some(b) = stack.pop() {
+        if gen[b.index()] {
+            continue;
+        }
+        for &s in cfg.succs(b) {
+            if inb[s.index()] {
+                inb[s.index()] = false;
+                stack.push(s);
             }
         }
     }
-    // Cold-side reload points: before every outside use of v.
-    for b in f.blocks() {
-        if in_body(b) {
-            continue;
-        }
+    // Cold-side reload points: before every outside use of v. Blocks
+    // without an occurrence have no use to reload for.
+    for &b in cold {
         let mut written = inb[b.index()];
         for i in f.block_insts(b) {
             let inst = f.inst(i);
@@ -203,22 +220,21 @@ fn planned_slot_is_must_written(
         }
     }
     // Boundary reloads at the end of each entry predecessor.
-    if needs_entry_reload {
-        for &p in entry_preds {
-            if !(inb[p.index()] || gen(p)) {
-                return false;
-            }
-        }
-    }
-    true
+    !needs_entry_reload
+        || entry_preds
+            .iter()
+            .all(|&p| inb[p.index()] || gen[p.index()])
 }
 
 /// Attempts a region split for victim `v` at conflict position
-/// `conflict_at`, assigning it `slot`. On success the function has been
-/// rewritten (hot sub-web inside the region, spill-everywhere outside,
-/// boundary copies at the region edges) and each boundary copy is
-/// recorded as a `split-at:<block>` provenance rationale. Returns `None`
-/// — with `f` untouched — when no region qualifies.
+/// `conflict_at`, assigning it `slot`. Every block it reads or rewrites
+/// instruction by instruction is one of `v`'s occurrence blocks in
+/// `occ`; the boundary copies go to region edges. On success the
+/// function has been rewritten (hot sub-web inside the region,
+/// spill-everywhere outside, boundary copies at the region edges) and
+/// each boundary copy is recorded as a `split-at:<block>` provenance
+/// rationale. Returns `None` — with `f` untouched — when no region
+/// qualifies.
 #[allow(clippy::too_many_arguments)]
 pub fn try_split(
     f: &mut Function,
@@ -228,7 +244,7 @@ pub fn try_split(
     loops: &LoopInfo,
     live: &Liveness,
     cfg: &Cfg,
-    costs: &SpillCosts,
+    occ: &OccIndex,
     slot: i64,
     temps: &mut HashSet<Var>,
     no_split: &mut HashSet<Var>,
@@ -236,20 +252,22 @@ pub fn try_split(
     if no_split.contains(&v) || temps.contains(&v) || f.var(v).reg.is_some() {
         return None;
     }
-    let region = pick_region(v, conflict_at, ivs, loops, cfg, costs)?;
-    let in_body = |b: Block| region.body.contains(&b);
+    let occ = occ.blocks(v);
+    let mut in_body = vec![false; f.num_blocks()];
+    let region = pick_region(occ, conflict_at, ivs, loops, cfg, &mut in_body)?;
+    for &b in &region.body {
+        in_body[b.index()] = true;
+    }
+    let (hot_side, cold): (Vec<Block>, Vec<Block>) = occ.iter().partition(|b| in_body[b.index()]);
 
     let entry_preds: Vec<Block> = cfg
         .preds(region.header)
         .iter()
         .copied()
-        .filter(|&p| !in_body(p))
+        .filter(|p| !in_body[p.index()])
         .collect();
     let needs_entry_reload = live.live_in(region.header).contains(v);
-    let defs_in_region = region.body.iter().any(|&b| {
-        f.block_insts(b)
-            .any(|i| f.inst(i).defs.iter().any(|o| o.var == v))
-    });
+    let defs_in_region = hot_side.iter().any(|&b| defines(f, b, v));
     let exit_stores: Vec<Block> = if defs_in_region {
         region
             .body
@@ -258,7 +276,7 @@ pub fn try_split(
             .filter(|&b| {
                 f.succs(b)
                     .iter()
-                    .any(|&s| !in_body(s) && live.live_in(s).contains(v))
+                    .any(|s| !in_body[s.index()] && live.live_in(*s).contains(v))
             })
             .collect()
     } else {
@@ -268,7 +286,7 @@ pub fn try_split(
         f,
         cfg,
         v,
-        &region,
+        &cold,
         &entry_preds,
         &exit_stores,
         needs_entry_reload,
@@ -281,7 +299,7 @@ pub fn try_split(
     // progress), but still spillable everywhere if pressure persists.
     let hot = f.new_var(format!("{}.s", f.var(v).name));
     no_split.insert(hot);
-    for &b in &region.body {
+    for &b in &hot_side {
         let insts: Vec<_> = f.block_insts(b).collect();
         for i in insts {
             let inst = f.inst_mut(i);
@@ -335,8 +353,9 @@ pub fn try_split(
         });
     }
 
-    // Cold side: spill-everywhere outside the region.
-    let (st, rl) = crate::spill::rewrite_spills_outside(f, &[(v, slot)], temps, &region.body);
+    // Cold side: spill-everywhere over the occurrences outside the
+    // region.
+    let (st, rl) = crate::spill::rewrite_in_blocks(f, &[(v, slot)], &cold, temps);
     out.stores += st;
     out.reloads += rl;
     Some(out)
@@ -386,7 +405,7 @@ exit:
         let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
-        let costs = SpillCosts::compute(&f, &loops);
+        let occ = OccIndex::build(&f);
         // Conflict in `exit`, outside the loop.
         let exit = f.blocks().find(|&b| f.block(b).name == "exit").unwrap();
         let conflict_at = ivs.block_span[exit.index()].0;
@@ -400,7 +419,7 @@ exit:
             &loops,
             &live,
             &cfg,
-            &costs,
+            &occ,
             0,
             &mut temps,
             &mut no_split,
@@ -446,7 +465,7 @@ exit:
         let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
-        let costs = SpillCosts::compute(&f, &loops);
+        let occ = OccIndex::build(&f);
         let body_b = f.blocks().find(|&b| f.block(b).name == "body").unwrap();
         let conflict_at = ivs.block_span[body_b.index()].0;
         let mut temps = HashSet::new();
@@ -459,7 +478,7 @@ exit:
             &loops,
             &live,
             &cfg,
-            &costs,
+            &occ,
             0,
             &mut temps,
             &mut no_split,
@@ -489,7 +508,7 @@ exit:
         let r = f.vars().find(|&v| f.var(v).name == "r").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
-        let costs = SpillCosts::compute(&f, &loops);
+        let occ = OccIndex::build(&f);
         let entry = f.blocks().find(|&b| f.block(b).name == "entry").unwrap();
         let conflict_at = ivs.block_span[entry.index()].0;
         let mut temps = HashSet::new();
@@ -502,7 +521,7 @@ exit:
             &loops,
             &live,
             &cfg,
-            &costs,
+            &occ,
             0,
             &mut temps,
             &mut no_split,
@@ -536,7 +555,7 @@ last:
         let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
-        let costs = SpillCosts::compute(&f, &loops);
+        let occ = OccIndex::build(&f);
         let mid = f.blocks().find(|&b| f.block(b).name == "mid").unwrap();
         let conflict_at = ivs.block_span[mid.index()].0;
         let mut temps = HashSet::new();
@@ -549,7 +568,7 @@ last:
             &loops,
             &live,
             &cfg,
-            &costs,
+            &occ,
             0,
             &mut temps,
             &mut no_split,
@@ -583,7 +602,7 @@ last:
         let z = f.vars().find(|&v| f.var(v).name == "z").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
-        let costs = SpillCosts::compute(&f, &loops);
+        let occ = OccIndex::build(&f);
         let exit = f.blocks().find(|&b| f.block(b).name == "exit").unwrap();
         let conflict_at = ivs.block_span[exit.index()].0;
         let mut temps = HashSet::new();
@@ -596,7 +615,7 @@ last:
             &loops,
             &live,
             &cfg,
-            &costs,
+            &occ,
             0,
             &mut temps,
             &mut no_split,

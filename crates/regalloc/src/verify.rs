@@ -26,10 +26,9 @@
 //! This is the checked-mode contract: chaos-injected allocation faults
 //! must surface here as structured errors, never as miscompiles.
 
-use std::collections::HashSet;
-use tossa_analysis::Liveness;
+use tossa_analysis::{BitSet, Liveness};
 use tossa_ir::cfg::Cfg;
-use tossa_ir::ids::Var;
+use tossa_ir::ids::{Block, Var};
 use tossa_ir::machine::RegClass;
 use tossa_ir::{Function, Opcode};
 
@@ -90,6 +89,7 @@ pub fn verify_allocation(f: &Function, asg: &Assignment) -> Result<(), AllocErro
     // variable owning each register. One dense 256-entry ownership table
     // is reused across blocks (reg ids are `u8`), cleared per block.
     let mut owner: Vec<Option<Var>> = vec![None; 256];
+    let mut exit: BitSet<Var> = BitSet::new(f.num_vars());
     for b in f.blocks() {
         owner.fill(None);
         let claim = |owner: &mut [Option<Var>], v: Var| -> Result<(), AllocError> {
@@ -102,7 +102,8 @@ pub fn verify_allocation(f: &Function, asg: &Assignment) -> Result<(), AllocErro
                 }
             }
         };
-        for v in live.live_exit(f, b).iter() {
+        live.live_exit_into(f, b, &mut exit);
+        for v in exit.iter() {
             claim(&mut owner, v)?;
         }
         let insts: Vec<_> = f.block_insts(b).collect();
@@ -144,69 +145,86 @@ pub fn verify_allocation(f: &Function, asg: &Assignment) -> Result<(), AllocErro
 
 /// Must-written forward dataflow over spill slots: a `spillld` of a slot
 /// not written on every path to it is an [`AllocError::UnpairedSlot`].
+/// Slots are numbered densely and the per-block sets are bit rows; each
+/// block's stores are collected once, not per visit.
 fn verify_slots(f: &Function, cfg: &Cfg) -> Result<(), AllocError> {
-    let mut slots: HashSet<i64> = HashSet::new();
-    for (_, i) in f.all_insts() {
-        let inst = f.inst(i);
-        if matches!(inst.opcode, Opcode::SpillStore | Opcode::SpillLoad) {
-            slots.insert(inst.imm);
-        }
-    }
+    let mut slots: Vec<i64> = f
+        .all_insts()
+        .map(|(_, i)| f.inst(i))
+        .filter(|inst| matches!(inst.opcode, Opcode::SpillStore | Opcode::SpillLoad))
+        .map(|inst| inst.imm)
+        .collect();
+    slots.sort_unstable();
+    slots.dedup();
     if slots.is_empty() {
         return Ok(());
     }
-    let all: HashSet<i64> = slots;
+    let words = slots.len().div_ceil(64);
+    let bit = |slot: i64| {
+        let k = slots.binary_search(&slot).expect("every slot is numbered");
+        (k / 64, 1u64 << (k % 64))
+    };
+    let row = |b: Block| b.index() * words..(b.index() + 1) * words;
+    let mut stores = vec![0u64; f.num_blocks() * words];
+    for (b, i) in f.all_insts() {
+        let inst = f.inst(i);
+        if inst.opcode == Opcode::SpillStore {
+            let (w, m) = bit(inst.imm);
+            stores[row(b)][w] |= m;
+        }
+    }
     // in[entry] = ∅, in[b] = ∩ preds out; out[b] = in[b] ∪ stores(b).
-    let mut written_in: Vec<HashSet<i64>> = vec![all.clone(); f.num_blocks()];
-    written_in[f.entry.index()] = HashSet::new();
+    // Every other block starts at the full set (unreachable ones stay
+    // there).
+    let mut full = vec![u64::MAX; words];
+    if !slots.len().is_multiple_of(64) {
+        full[words - 1] = (1u64 << (slots.len() % 64)) - 1;
+    }
+    let mut written_in: Vec<u64> = full.repeat(f.num_blocks());
+    written_in[row(f.entry)].fill(0);
+    let mut acc = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for &b in cfg.rpo() {
-            let inb = if b == f.entry || cfg.preds(b).is_empty() {
-                HashSet::new()
+            let preds = cfg.preds(b);
+            if b == f.entry || preds.is_empty() {
+                acc.fill(0);
             } else {
-                let preds = cfg.preds(b);
-                let mut acc = out_of(f, &written_in, preds[0]);
-                for &p in &preds[1..] {
-                    let po = out_of(f, &written_in, p);
-                    acc.retain(|s| po.contains(s));
+                acc.copy_from_slice(&full);
+                for &p in preds {
+                    let (pin, pst) = (&written_in[row(p)], &stores[row(p)]);
+                    for w in 0..words {
+                        acc[w] &= pin[w] | pst[w];
+                    }
                 }
-                acc
-            };
-            if inb != written_in[b.index()] {
-                written_in[b.index()] = inb;
+            }
+            if acc[..] != written_in[row(b)] {
+                written_in[row(b)].copy_from_slice(&acc);
                 changed = true;
             }
         }
     }
     for b in f.blocks() {
-        let mut cur = written_in[b.index()].clone();
+        let mut cur = written_in[row(b)].to_vec();
         for i in f.block_insts(b) {
             let inst = f.inst(i);
             match inst.opcode {
-                Opcode::SpillLoad if !cur.contains(&inst.imm) => {
-                    return Err(AllocError::UnpairedSlot { slot: inst.imm });
+                Opcode::SpillLoad => {
+                    let (w, m) = bit(inst.imm);
+                    if cur[w] & m == 0 {
+                        return Err(AllocError::UnpairedSlot { slot: inst.imm });
+                    }
                 }
                 Opcode::SpillStore => {
-                    cur.insert(inst.imm);
+                    let (w, m) = bit(inst.imm);
+                    cur[w] |= m;
                 }
                 _ => {}
             }
         }
     }
     Ok(())
-}
-
-fn out_of(f: &Function, written_in: &[HashSet<i64>], b: tossa_ir::ids::Block) -> HashSet<i64> {
-    let mut out = written_in[b.index()].clone();
-    for i in f.block_insts(b) {
-        let inst = f.inst(i);
-        if inst.opcode == Opcode::SpillStore {
-            out.insert(inst.imm);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

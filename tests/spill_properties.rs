@@ -6,8 +6,10 @@
 //!
 //! Like `alloc_properties.rs`, the invariants are independent
 //! re-derivations: the must-written check re-implements the slot
-//! dataflow rather than calling the allocator's verifier, and the
-//! boundary check recomputes loops from scratch on the final function.
+//! dataflow rather than calling the allocator's verifier, the boundary
+//! check recomputes loops from scratch on the final function, and the
+//! rewrite-locality check rescans the whole function around every
+//! rewrite the spill loop makes.
 
 use std::collections::{HashMap, HashSet};
 use tossa::analysis::{DomTree, LoopInfo};
@@ -16,7 +18,7 @@ use tossa::bench::suites::synth::{generate_function, SynthConfig};
 use tossa::core::coalesce::CoalesceOptions;
 use tossa::core::Experiment;
 use tossa::ir::cfg::Cfg;
-use tossa::ir::ids::{Block, Var};
+use tossa::ir::ids::{Block, Inst, Var};
 use tossa::ir::machine::Machine;
 use tossa::ir::parse::parse_function;
 use tossa::ir::rng::SplitMix64;
@@ -24,7 +26,10 @@ use tossa::ir::{Function, Opcode};
 use tossa::regalloc::cost::SpillCosts;
 use tossa::regalloc::intervals;
 use tossa::regalloc::scan::{scan, ScanFail};
-use tossa::regalloc::{prepare, AllocOptions, AllocStats};
+use tossa::regalloc::{
+    prepare, prepare_observed, AllocOptions, AllocStats, IntervalPrecision, Rewrite, RewriteKind,
+    SpillObserver, SpillPolicy,
+};
 
 const CASES: usize = 24;
 
@@ -374,4 +379,144 @@ fn every_reload_is_must_written_after_splitting() {
         }
     }
     assert!(splits > 0, "no case ever split — vacuous");
+}
+
+/// One block's instructions as a comparable value: ids, opcodes,
+/// operands and immediates.
+type BlockShape = Vec<(Inst, Opcode, Vec<Var>, Vec<Var>, i64)>;
+
+fn block_shape(f: &Function, b: Block) -> BlockShape {
+    f.block_insts(b)
+        .map(|i| {
+            let inst = f.inst(i);
+            (
+                i,
+                inst.opcode,
+                inst.defs.iter().map(|o| o.var).collect(),
+                inst.uses.iter().map(|o| o.var).collect(),
+                inst.imm,
+            )
+        })
+        .collect()
+}
+
+/// Watches every rewrite of the spill loop: before it, each victim's
+/// occurrence-index entry must list exactly the blocks a full rescan
+/// finds it in; after it, every block that changed must be in a
+/// victim's entry or hold one of the split's boundary copies.
+struct Locality {
+    label: String,
+    before: Vec<BlockShape>,
+    rewrites: [usize; 3],
+}
+
+impl SpillObserver for Locality {
+    fn before(&mut self, f: &Function, rw: &Rewrite<'_>) {
+        for &v in rw.victims {
+            let rescan: Vec<Block> = f
+                .blocks()
+                .filter(|&b| {
+                    f.block_insts(b)
+                        .any(|i| f.inst(i).operands().any(|o| o.var == v))
+                })
+                .collect();
+            assert_eq!(
+                rw.index.blocks(v),
+                rescan.as_slice(),
+                "{}: {:?} index entry of {} is not its occurrence blocks",
+                self.label,
+                rw.kind,
+                f.var(v).name
+            );
+        }
+        self.before = f.blocks().map(|b| block_shape(f, b)).collect();
+    }
+
+    fn after(&mut self, f: &Function, rw: &Rewrite<'_>) {
+        let allowed: HashSet<Block> = rw
+            .victims
+            .iter()
+            .flat_map(|&v| rw.index.blocks(v).iter().copied())
+            .chain(rw.boundaries.iter().copied())
+            .collect();
+        assert_eq!(self.before.len(), f.num_blocks(), "{}", self.label);
+        for b in f.blocks() {
+            assert!(
+                allowed.contains(&b) || block_shape(f, b) == self.before[b.index()],
+                "{}: {:?} rewrite of {:?} changed block {} outside the victims' index entries",
+                self.label,
+                rw.kind,
+                rw.victims
+                    .iter()
+                    .map(|&v| f.var(v).name.clone())
+                    .collect::<Vec<_>>(),
+                f.block(b).name
+            );
+        }
+        let k = match rw.kind {
+            RewriteKind::Remat => 0,
+            RewriteKind::Split => 1,
+            RewriteKind::Everywhere => 2,
+        };
+        self.rewrites[k] += 1;
+    }
+}
+
+/// Every rewrite of the spill loop — rematerialization, split, and the
+/// batched spill-everywhere — touches only its victims' occurrence
+/// blocks (plus a split's boundary blocks), and the round's occurrence
+/// index is exact for each victim at the moment it is rewritten, under
+/// both spill policies and both interval precisions, on pressure-shaped
+/// and SPECint-shaped functions. Watching must not perturb: the
+/// observed allocation equals the plain one.
+#[test]
+fn spill_rewrites_stay_inside_the_occurrence_index() {
+    let pressure = SynthConfig {
+        functions: 1,
+        pool: 16,
+        max_depth: 3,
+        body_len: 8,
+    };
+    let specint = SynthConfig::default();
+    let mut cases: Vec<(String, Function)> = Vec::new();
+    for s in seeds(24).into_iter().take(4) {
+        cases.push((format!("pressure seed {s}"), pipelined(s, &pressure)));
+    }
+    for s in seeds(25).into_iter().take(6) {
+        cases.push((format!("specint seed {s}"), pipelined(s, &specint)));
+    }
+    cases.push(("split specimen".into(), split_specimen()));
+    cases.push(("remat specimen".into(), remat_specimen()));
+    let mut totals = [0usize; 3];
+    for policy in [SpillPolicy::Everywhere, SpillPolicy::CostDriven] {
+        for precision in [IntervalPrecision::Ranges, IntervalPrecision::Hull] {
+            let opts = AllocOptions {
+                spill_policy: policy,
+                precision,
+                ..Default::default()
+            };
+            for (label, f) in &cases {
+                let label = format!("{label} / {policy:?} / {precision:?}");
+                let mut watched = f.clone();
+                let mut obs = Locality {
+                    label: label.clone(),
+                    before: Vec::new(),
+                    rewrites: [0; 3],
+                };
+                let a = prepare_observed(&mut watched, &opts, &mut obs)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let mut plain = f.clone();
+                let b = prepare(&mut plain, &opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(watched.to_string(), plain.to_string(), "{label}");
+                assert_eq!(a.stats, b.stats, "{label}");
+                for (t, n) in totals.iter_mut().zip(obs.rewrites) {
+                    *t += n;
+                }
+            }
+        }
+    }
+    assert!(
+        totals.iter().all(|&n| n > 0),
+        "remat/split/everywhere rewrites seen: {totals:?} — some kind never fired"
+    );
 }
